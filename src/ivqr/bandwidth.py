@@ -15,17 +15,23 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from ivqr.model import EstimationProblem
 from ivqr.projection import ProjectedInstruments, iv_estimate
-from ivqr.solver import SolverDiagnostics, solve_see
+from ivqr.smoothing import smoothing_constants
+from ivqr.solver import SolverDiagnostics, residuals, solve_see
+
+_SQRT_2PI = np.sqrt(2.0 * np.pi)
 
 # Gaussian-reference plug-in constants for the kernel sub-bandwidths, in the
 # rounded form they are conventionally quoted in
 _C_SUB_S = 0.776
 _C_SUB_B = 0.423
 _DEGENERATE_TOL = 1e-12
+# variance over squared-bias constant of the ramp smoother in the plug-in rule
+_SMOOTH = smoothing_constants()
+_VAR_BIAS_RATIO = _SMOOTH.one_minus_int_G2 / _SMOOTH.int_Gprime_v2_sq
 
 
 class BandwidthCandidates(NamedTuple):
@@ -68,6 +74,12 @@ class BandwidthReport:
         )
 
 
+def normal_pdf(x):
+    """Standard normal density, exp(-x^2/2) / sqrt(2 pi)."""
+    x = np.asarray(x, dtype=float)
+    return np.exp(-0.5 * x * x) / _SQRT_2PI
+
+
 def robust_sigma(resid) -> float:
     """Robust residual scale: min of the sample SD and IQR/1.349.
 
@@ -95,11 +107,11 @@ def s_star(n: int, sigma: float, tau: float) -> float:
     (q^2 - 1)^2 vanishes (tau near Phi(+-1)), signalling that the
     nonparametric candidate should be skipped.
     """
-    q = norm.ppf(tau)
+    q = ndtri(tau)
     shape = (q * q - 1.0) ** 2
     if shape < _DEGENERATE_TOL:
         return float("inf")
-    value = _C_SUB_S * n ** (-0.2) * sigma * (norm.pdf(q) * shape) ** (-0.2)
+    value = _C_SUB_S * n ** (-0.2) * sigma * (normal_pdf(q) * shape) ** (-0.2)
     return value if np.isfinite(value) else float("inf")
 
 
@@ -110,8 +122,8 @@ def b_star(n: int, sigma: float, tau: float) -> float:
     phi(q) q^2 (3 - q^2)^2 vanishes (the median, tau = Phi(+-sqrt(3)), or
     extreme tails).
     """
-    q = norm.ppf(tau)
-    den = norm.pdf(q) * q * q * (3.0 - q * q) ** 2
+    q = ndtri(tau)
+    den = normal_pdf(q) * q * q * (3.0 - q * q) ** 2
     if den < _DEGENERATE_TOL:
         return float("inf")
     value = n ** (-1.0 / 7.0) * sigma * (_C_SUB_B / den) ** (1.0 / 7.0)
@@ -122,7 +134,7 @@ def kde_f0(resid, s: float) -> float:
     """Gaussian kernel density estimate of the residual density at zero."""
     resid = np.asarray(resid, dtype=float).ravel()
     n = resid.shape[0]
-    return float(np.sum(norm.pdf(-resid / s)) / (n * s))
+    return float(np.sum(normal_pdf(-resid / s)) / (n * s))
 
 
 def kde_fprime0(resid, b: float) -> float:
@@ -133,7 +145,7 @@ def kde_fprime0(resid, b: float) -> float:
     resid = np.asarray(resid, dtype=float).ravel()
     n = resid.shape[0]
     u = -resid / b
-    kprime = -u * norm.pdf(u)
+    kprime = -u * normal_pdf(u)
     return float(np.sum(kprime) / (n * b * b))
 
 
@@ -149,7 +161,7 @@ def plug_in_bandwidth(prob: EstimationProblem, resid) -> BandwidthReport:
     n = prob.n
     d = prob.p
     sigma = robust_sigma(resid)
-    q = norm.ppf(prob.tau)
+    q = ndtri(prob.tau)
 
     s = s_star(n, sigma, prob.tau)
     b = b_star(n, sigma, prob.tau)
@@ -160,14 +172,15 @@ def plug_in_bandwidth(prob: EstimationProblem, resid) -> BandwidthReport:
         f0 = kde_f0(resid, s)
         fp0 = kde_fprime0(resid, b)
         if abs(fp0) >= _DEGENERATE_TOL:
-            h_np = n ** (-1.0 / 3.0) * (3.0 * d * f0 / fp0**2) ** (1.0 / 3.0)
+            h_np = n ** (-1.0 / 3.0) * (_VAR_BIAS_RATIO * d * f0 / fp0**2) ** (1.0 / 3.0)
             if not np.isfinite(h_np):
                 h_np = float("inf")
 
     if q * q < _DEGENERATE_TOL:
         h_gauss = float("inf")
     else:
-        h_gauss = n ** (-1.0 / 3.0) * sigma * (3.0 * d / (q * q * norm.pdf(q))) ** (1.0 / 3.0)
+        ratio = _VAR_BIAS_RATIO * d / (q * q * normal_pdf(q))
+        h_gauss = n ** (-1.0 / 3.0) * sigma * ratio ** (1.0 / 3.0)
         if not np.isfinite(h_gauss):
             h_gauss = float("inf")
 
@@ -201,17 +214,18 @@ def fit_with_plugin(
 ) -> PluginFit:
     """Estimate with the plug-in bandwidth and one refinement pass.
 
-    First pass: bandwidth from the linear IV residuals, then solve.  Second
-    pass: recompute the plug-in from the first-pass residuals and re-solve,
-    warm-started.  The refinement runs exactly once; manually chosen
-    bandwidths never enter this function.
+    First pass: bandwidth from the linear IV residuals (or the residuals at
+    ``beta_init`` when given), then solve.  Second pass: recompute the
+    plug-in from the first-pass residuals and re-solve, warm-started.  The
+    refinement runs exactly once; manually chosen bandwidths never enter this
+    function.  The returned diagnostics cover both solves: iterations,
+    homotopy stages and escalations are summed, and ``converged`` holds only
+    if both converged.
     """
-    beta_iv = iv_estimate(prob, zhat)
-    start_resid = prob.y - prob.X @ (beta_iv if beta_init is None else np.asarray(beta_init, float))
-    rep1 = plug_in_bandwidth(prob, start_resid)
+    start = iv_estimate(prob, zhat) if beta_init is None else np.asarray(beta_init, float)
+    rep1 = plug_in_bandwidth(prob, residuals(prob, start))
     sol1 = solve_see(prob, zhat, rep1.h_requested, beta_init=beta_init, log=log)
-    resid1 = prob.y - prob.X @ sol1.beta
-    rep2 = plug_in_bandwidth(prob, resid1)
+    rep2 = plug_in_bandwidth(prob, residuals(prob, sol1.beta))
     sol2 = solve_see(prob, zhat, rep2.h_requested, beta_init=sol1.beta, log=log)
     report = BandwidthReport(
         h_requested=rep2.h_requested,
@@ -223,4 +237,12 @@ def fit_with_plugin(
         fprime0_hat=rep2.fprime0_hat,
         refined=True,
     )
-    return PluginFit(beta=sol2.beta, report=report, diag=sol2.diag)
+    d1, d2 = sol1.diag, sol2.diag
+    diag = SolverDiagnostics(
+        iterations=d1.iterations + d2.iterations,
+        final_residual_inf_norm=d2.final_residual_inf_norm,
+        bandwidth_escalations=d1.bandwidth_escalations + d2.bandwidth_escalations,
+        converged=d1.converged and d2.converged,
+        homotopy_stages=d1.homotopy_stages + d2.homotopy_stages,
+    )
+    return PluginFit(beta=sol2.beta, report=report, diag=diag)

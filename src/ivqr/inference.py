@@ -6,9 +6,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.stats import norm
 
-from ivqr.bandwidth import robust_sigma
+from ivqr.bandwidth import normal_pdf, robust_sigma
 from ivqr.exceptions import ConvergenceError, EstimationError, SingularMatrixError
 from ivqr.model import EstimationProblem
 from ivqr.projection import ProjectedInstruments
@@ -61,7 +60,7 @@ def analytic_covariance(prob: EstimationProblem, beta_hat) -> CovarianceEstimate
     Z, X = prob.Z, prob.X
 
     S = tau * (1.0 - tau) * (Z * wn[:, None]).T @ Z / n
-    kern = norm.pdf(eps / h_se)
+    kern = normal_pdf(eps / h_se)
     J = (Z * (wn * kern)[:, None]).T @ X / (n * h_se)
     if np.max(np.abs(J)) < 1e-300:
         raise EstimationError(

@@ -6,10 +6,17 @@ The target system in beta is
 
 solved by Newton steps with a backtracking line search on the Euclidean norm
 of the residual.  Small bandwidths are reached by a bandwidth homotopy: start
-where the system is globally linear, halve toward the request, and warm-start
-each stage from the last.  If a requested bandwidth cannot be solved the
-target is escalated geometrically until the solve succeeds or the attempt
-budget runs out.
+from the linear IV estimate at twice the SD of its residuals (capped where
+every residual sits inside the window), where the system is close to linear,
+halve toward the request, and warm-start each stage from the last.  If that
+first stage fails the homotopy restarts where the system is exactly linear;
+if a requested bandwidth cannot be solved the target is escalated
+geometrically until the solve succeeds or the attempt budget runs out.
+
+Each Newton iterate forms the residual vector y - X beta once and shares it
+between the moment and the Jacobian; the moment is one matrix-vector product
+of clipped residuals, and the Jacobian sums over the rows inside the
+smoothing window only.
 """
 
 from __future__ import annotations
@@ -21,7 +28,6 @@ import numpy as np
 from ivqr.exceptions import ConvergenceError
 from ivqr.model import EstimationProblem
 from ivqr.projection import ProjectedInstruments, iv_estimate
-from ivqr.smoothing import itilde
 
 MAX_NEWTON_ITER = 200
 MAX_BACKTRACK = 30
@@ -45,48 +51,76 @@ class SeeSolution:
     diag: SolverDiagnostics
 
 
-def see_residual(prob: EstimationProblem, zhat: ProjectedInstruments, beta, h) -> np.ndarray:
-    """Smoothed sample moment vector at ``beta`` with bandwidth ``h``."""
-    beta = np.asarray(beta, dtype=float).ravel()
-    v = prob.y - prob.X @ beta
-    t = itilde(v / h) - prob.tau
-    return zhat.Zhat.T @ (prob.w * t) / prob.n
+def residuals(prob: EstimationProblem, beta) -> np.ndarray:
+    """The residual vector y - X beta, formed in a single new array."""
+    v = prob.X @ np.asarray(beta, dtype=float).ravel()
+    return np.subtract(prob.y, v, out=v)
 
 
-def see_jacobian(prob: EstimationProblem, zhat: ProjectedInstruments, beta, h) -> np.ndarray:
+def instrument_means(prob: EstimationProblem, zhat: ProjectedInstruments) -> np.ndarray:
+    """Weighted instrument means Zhat'w / n, the constant part of the moment."""
+    return zhat.Zhat.T @ prob.w / prob.n
+
+
+def see_residual(prob: EstimationProblem, zhat: ProjectedInstruments, beta, h, v=None, zw=None):
+    """Smoothed sample moment vector at ``beta`` with bandwidth ``h``.
+
+    Uses itilde(v/h) - tau = (1/2 - tau) - clip(v, -h, h)/(2h), so the moment
+    is (1/2 - tau) Zhat'w/n minus one product of Zhat' with the clipped,
+    weighted residuals.  Callers that already hold the residuals
+    ``v = y - X beta`` or the instrument means ``zw`` (see
+    :func:`instrument_means`) may pass them in; neither is modified.
+    """
+    if v is None:
+        v = residuals(prob, beta)
+    if zw is None:
+        zw = instrument_means(prob, zhat)
+    t = np.clip(v, -h, h)
+    t *= prob.w
+    return (0.5 - prob.tau) * zw - zhat.Zhat.T @ t / (2.0 * h * prob.n)
+
+
+def see_jacobian(prob: EstimationProblem, zhat: ProjectedInstruments, beta, h, v=None):
     """Derivative of :func:`see_residual` with respect to ``beta``.
 
     Only observations strictly inside the smoothing window contribute; the
     ramp has slope -1/2 there, which combined with the inner derivative
-    -x_i/h gives (1/(2nh)) sum over the window of w_i zhat_i x_i'.
+    -x_i/h gives (1/(2nh)) sum over the window of w_i zhat_i x_i'.  Only the
+    window rows are gathered and summed.  ``v`` is as in :func:`see_residual`.
     """
-    beta = np.asarray(beta, dtype=float).ravel()
-    v = prob.y - prob.X @ beta
-    inside = np.abs(v) < h
-    wm = prob.w * inside
-    return (zhat.Zhat * wm[:, None]).T @ prob.X / (2.0 * prob.n * h)
+    if v is None:
+        v = residuals(prob, beta)
+    rows = np.flatnonzero(np.abs(v) < h)
+    zw_in = zhat.Zhat.take(rows, axis=0)
+    zw_in *= prob.w.take(rows)[:, None]
+    return zw_in.T @ prob.X.take(rows, axis=0) / (2.0 * prob.n * h)
 
 
-def tol_residual(prob: EstimationProblem, zhat: ProjectedInstruments) -> float:
+def tol_residual(prob: EstimationProblem, zhat: ProjectedInstruments, zw=None) -> float:
     """Convergence tolerance, scaled by the weighted instrument means."""
-    scale = np.max(np.abs(zhat.Zhat.T @ prob.w / prob.n))
-    return 1e-8 * (1.0 + scale)
+    if zw is None:
+        zw = instrument_means(prob, zhat)
+    return 1e-8 * (1.0 + np.max(np.abs(zw)))
 
 
-def _damped_newton(prob, zhat, beta0, h, tol, log=None):
+def _damped_newton(prob, zhat, beta0, h, tol, log, zw):
     """Newton iteration at fixed bandwidth.
 
     Returns (beta, n_iterations, converged, final_inf_norm).  Fails (without
     raising) on a singular Jacobian, a non-finite step, or a line search that
-    cannot reduce the residual norm after MAX_BACKTRACK halvings.
+    cannot reduce the residual norm after MAX_BACKTRACK halvings.  The
+    residual vector y - X beta is formed once per iterate and per line-search
+    candidate and shared by the moment and the Jacobian; ``zw`` is the
+    solve's :func:`instrument_means`.
     """
     beta = np.asarray(beta0, dtype=float).copy()
-    g = see_residual(prob, zhat, beta, h)
+    v = residuals(prob, beta)
+    g = see_residual(prob, zhat, beta, h, v=v, zw=zw)
     for it in range(MAX_NEWTON_ITER):
         gn = float(np.max(np.abs(g)))
         if gn <= tol:
             return beta, it, True, gn
-        J = see_jacobian(prob, zhat, beta, h)
+        J = see_jacobian(prob, zhat, beta, h, v=v)
         try:
             step = np.linalg.solve(J, -g)
         except np.linalg.LinAlgError:
@@ -98,14 +132,15 @@ def _damped_newton(prob, zhat, beta0, h, tol, log=None):
         accepted = False
         for _ in range(MAX_BACKTRACK + 1):
             cand = beta + lam * step
-            gc = see_residual(prob, zhat, cand, h)
+            vc = residuals(prob, cand)
+            gc = see_residual(prob, zhat, cand, h, v=vc, zw=zw)
             if np.all(np.isfinite(gc)) and float(np.linalg.norm(gc)) < g2:
                 accepted = True
                 break
             lam *= 0.5
         if not accepted:
             return beta, it + 1, False, gn
-        beta, g = cand, gc
+        beta, g, v = cand, gc, vc
         if log is not None:
             log(
                 f"h={h:.8g} iter={it + 1} resid_inf={float(np.max(np.abs(g))):.3e} "
@@ -113,6 +148,14 @@ def _damped_newton(prob, zhat, beta0, h, tol, log=None):
             )
     gn = float(np.max(np.abs(g)))
     return beta, MAX_NEWTON_ITER, gn <= tol, gn
+
+
+def _ladder(top: float, target: float) -> list:
+    """Bandwidths from ``top`` halving down to ``target``, both included."""
+    seq = [max(top, target)]
+    while seq[-1] > target:
+        seq.append(max(seq[-1] / 2.0, target))
+    return seq
 
 
 def solve_see(
@@ -125,15 +168,17 @@ def solve_see(
     """Solve the smoothed estimating equations at (or as close as feasible to)
     the requested bandwidth.
 
-    The homotopy starts at a bandwidth wide enough that every observation sits
-    inside the smoothing window (there the system is linear in beta and one
-    Newton step lands on the root), then halves the bandwidth toward the
-    request, warm-starting each stage from the last.  If a stage fails, the
-    target is escalated by a factor of 1.5 and the descent resumes from the
-    smallest bandwidth that has converged so far, up to 40 escalations.  When
-    the budget runs out the solution at that smallest converged bandwidth is
-    returned; ``h_used`` always reports the bandwidth the returned beta
-    actually solves.
+    The homotopy starts from the linear IV estimate at a bandwidth set by the
+    spread of its residuals r0, min(max|r0| + 1, 2 sd(r0)), where the system
+    is close to linear, then halves the bandwidth toward the request,
+    warm-starting each stage from the last.  If that first stage fails, the
+    descent restarts from max|r0| + 1, where every observation sits inside
+    the smoothing window and the system is exactly linear.  If a later stage
+    fails, the target is escalated by a factor of 1.5 and the descent
+    resumes from the smallest bandwidth that has converged so far, up to 40
+    escalations.  When the budget runs out the solution at that smallest
+    converged bandwidth is returned; ``h_used`` always reports the bandwidth
+    the returned beta actually solves.
 
     ``h_request = 0`` asks for the smallest numerically feasible bandwidth:
     the descent targets the smallest positive normal float and stops wherever
@@ -141,16 +186,14 @@ def solve_see(
 
     When ``beta_init`` is given the solver first tries a direct Newton solve
     at the requested bandwidth from that point (the warm-start path used for
-    refinement and bootstrap replications); if the direct solve fails it
-    falls back to the full homotopy.
+    refinement and bootstrap replications); only if the direct solve fails
+    does it compute the IV start and fall back to the full homotopy.
     """
     h_request = float(h_request)
     if not np.isfinite(h_request) or h_request < 0:
         raise ValueError(f"h_request must be a finite nonnegative number, got {h_request}")
-    tol = tol_residual(prob, zhat)
-    start0 = iv_estimate(prob, zhat)
-    resid0 = prob.y - prob.X @ start0
-    h_big = float(np.max(np.abs(resid0))) + 1.0
+    zw = instrument_means(prob, zhat)
+    tol = tol_residual(prob, zhat, zw)
     target0 = h_request if h_request > 0 else float(np.finfo(float).tiny)
 
     best_h = None
@@ -158,83 +201,66 @@ def solve_see(
     iters_total = 0
     stages_total = 0
 
+    def descend(cur, seq):
+        """Run the stages in ``seq`` from ``cur``; (beta, final norm) or None."""
+        nonlocal best_h, best_beta, iters_total, stages_total
+        gn_final = np.inf
+        for h_s in seq:
+            cand, nit, ok, gn = _damped_newton(prob, zhat, cur, h_s, tol, log, zw)
+            iters_total += nit
+            stages_total += 1
+            if not ok:
+                return None
+            cur, gn_final = cand, gn
+            if best_h is None or h_s < best_h:
+                best_h, best_beta = h_s, cur
+        return cur, gn_final
+
+    def diag(gn, escalations, converged=True):
+        return SolverDiagnostics(
+            iterations=iters_total,
+            final_residual_inf_norm=gn,
+            bandwidth_escalations=escalations,
+            converged=converged,
+            homotopy_stages=stages_total,
+        )
+
     if beta_init is not None:
         warm = np.asarray(beta_init, dtype=float).ravel()
         if warm.shape[0] != prob.p:
             raise ValueError(f"beta_init has length {warm.shape[0]}, expected {prob.p}")
-        cand, nit, ok, gn = _damped_newton(prob, zhat, warm, target0, tol, log)
-        iters_total += nit
-        stages_total += 1
-        if ok:
-            diag = SolverDiagnostics(
-                iterations=iters_total,
-                final_residual_inf_norm=gn,
-                bandwidth_escalations=0,
-                converged=True,
-                homotopy_stages=stages_total,
-            )
-            return SeeSolution(beta=np.array(cand), h_used=target0, diag=diag)
+        done = descend(warm, [target0])
+        if done is not None:
+            return SeeSolution(beta=np.array(done[0]), h_used=target0, diag=diag(done[1], 0))
+
+    start0 = iv_estimate(prob, zhat)
+    resid0 = residuals(prob, start0)
+    h_big = float(np.max(np.abs(resid0))) + 1.0
+    h_top = min(h_big, 2.0 * float(np.std(resid0)))
 
     for k in range(MAX_ESCALATIONS + 1):
         target = target0 * ESCALATION_FACTOR**k
         if best_h is None:
-            cur = start0
-            seq = [max(target, h_big)]
-            while seq[-1] > target:
-                seq.append(max(seq[-1] / 2.0, target))
+            done = descend(start0, _ladder(h_top, target))
+            if done is None and best_h is None and max(h_top, target) < h_big:
+                # the data-driven first stage failed: climb the full ladder
+                h_top = h_big
+                done = descend(start0, _ladder(h_big, target))
         elif best_h <= target:
-            cur = best_beta
-            seq = [target]
+            done = descend(best_beta, [target])
         else:
-            cur = best_beta
-            seq = []
-            h = best_h
-            while h > target:
-                h = max(h / 2.0, target)
-                seq.append(h)
-        ok_all = True
-        gn_final = np.inf
-        for h_s in seq:
-            cand, nit, ok, gn = _damped_newton(prob, zhat, cur, h_s, tol, log)
-            iters_total += nit
-            stages_total += 1
-            if not ok:
-                ok_all = False
-                break
-            cur = cand
-            gn_final = gn
-            if best_h is None or h_s < best_h:
-                best_h, best_beta = h_s, cur
-        if ok_all:
-            diag = SolverDiagnostics(
-                iterations=iters_total,
-                final_residual_inf_norm=gn_final,
-                bandwidth_escalations=k,
-                converged=True,
-                homotopy_stages=stages_total,
-            )
-            return SeeSolution(beta=np.array(cur), h_used=float(target), diag=diag)
+            done = descend(best_beta, _ladder(best_h, target)[1:])
+        if done is not None:
+            return SeeSolution(beta=np.array(done[0]), h_used=float(target), diag=diag(done[1], k))
 
     if best_h is not None:
-        gn_best = float(np.max(np.abs(see_residual(prob, zhat, best_beta, best_h))))
-        diag = SolverDiagnostics(
-            iterations=iters_total,
-            final_residual_inf_norm=gn_best,
-            bandwidth_escalations=MAX_ESCALATIONS,
-            converged=True,
-            homotopy_stages=stages_total,
+        gn_best = float(np.max(np.abs(see_residual(prob, zhat, best_beta, best_h, zw=zw))))
+        return SeeSolution(
+            beta=np.array(best_beta), h_used=float(best_h), diag=diag(gn_best, MAX_ESCALATIONS)
         )
-        return SeeSolution(beta=np.array(best_beta), h_used=float(best_h), diag=diag)
 
-    diag = SolverDiagnostics(
-        iterations=iters_total,
-        final_residual_inf_norm=np.inf,
-        bandwidth_escalations=MAX_ESCALATIONS,
-        converged=False,
-        homotopy_stages=stages_total,
-    )
     raise ConvergenceError(
         f"smoothed estimating equations did not converge at any bandwidth within "
         f"{MAX_ESCALATIONS} escalations of the request h={h_request:g}",
-        diagnostics=diag,
+        diagnostics=diag(np.inf, MAX_ESCALATIONS, converged=False),
     )

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from scipy.stats import gaussian_kde, norm
 
+import ivqr.bandwidth as bandwidth_mod
+import ivqr.solver as solver_mod
 from ivqr.bandwidth import (
     b_star,
     fit_with_plugin,
@@ -13,8 +15,10 @@ from ivqr.bandwidth import (
     robust_sigma,
     s_star,
 )
+from ivqr.estimate import fit
 from ivqr.model import build_problem
-from ivqr.projection import project_instruments
+from ivqr.projection import iv_estimate, project_instruments
+from ivqr.smoothing import smoothing_constants
 from ivqr.solver import solve_see
 
 
@@ -243,6 +247,60 @@ def test_fit_with_plugin_deterministic():
     f2 = fit_with_plugin(prob, zhat)
     assert np.array_equal(f1.beta, f2.beta)
     assert f1.report == f2.report
+
+
+def test_fit_with_plugin_diagnostics_cover_both_solves():
+    prob = make_problem(n=2000, seed=23, tau=0.25)
+    zhat = project_instruments(prob)
+    plug = fit_with_plugin(prob, zhat)
+    h1 = plug_in_bandwidth(prob, prob.y - prob.X @ iv_estimate(prob, zhat)).h_requested
+    first = solve_see(prob, zhat, h1)
+    assert plug.diag.converged
+    assert plug.diag.iterations >= first.diag.iterations
+    assert plug.diag.homotopy_stages > first.diag.homotopy_stages
+    assert plug.diag.bandwidth_escalations >= first.diag.bandwidth_escalations
+
+
+def count_iv_calls(monkeypatch):
+    calls = []
+
+    def counted(prob_, zhat_):
+        calls.append(1)
+        return iv_estimate(prob_, zhat_)
+
+    monkeypatch.setattr(solver_mod, "iv_estimate", counted)
+    monkeypatch.setattr(bandwidth_mod, "iv_estimate", counted)
+    return calls
+
+
+def test_plugin_fit_computes_iv_start_at_most_twice(monkeypatch):
+    prob = make_problem(tau=0.25, seed=24)
+    calls = count_iv_calls(monkeypatch)
+    fit(prob)
+    assert 1 <= len(calls) <= 2
+
+
+def test_warm_plugin_fit_skips_iv_start(monkeypatch):
+    prob = make_problem(tau=0.25, seed=25)
+    beta0 = fit(prob).beta
+    calls = count_iv_calls(monkeypatch)
+    fit(prob, beta_init=beta0)
+    assert calls == []
+
+
+def test_plugin_constant_comes_from_smoothing_constants(monkeypatch):
+    consts = smoothing_constants()
+    ratio = consts.one_minus_int_G2 / consts.int_Gprime_v2_sq
+    assert bandwidth_mod._VAR_BIAS_RATIO == ratio == 3.0
+    prob = make_problem(tau=0.25, seed=26)
+    resid = np.random.default_rng(8).normal(size=prob.n)
+    base = plug_in_bandwidth(prob, resid).candidates
+    monkeypatch.setattr(bandwidth_mod, "_VAR_BIAS_RATIO", 24.0)
+    scaled = plug_in_bandwidth(prob, resid).candidates
+    # the constant enters both cube-root rules, so 8x the constant doubles them
+    assert scaled.h_nonparametric == pytest.approx(2.0 * base.h_nonparametric, rel=1e-12)
+    assert scaled.h_gaussian_ref == pytest.approx(2.0 * base.h_gaussian_ref, rel=1e-12)
+    assert scaled.h_silverman == base.h_silverman
 
 
 def test_escalated_past_max_flag():

@@ -4,7 +4,9 @@ Oracles used here:
   * math.fsum recomputation of the residual from an independently coded ramp,
   * central finite differences for the Jacobian (away from window edges),
   * the closed-form root at bandwidths wide enough that the system is linear,
-  * the winsorized-mean characterization in the intercept-only case.
+  * the winsorized-mean characterization in the intercept-only case,
+  * the indicator form of the moment and the dense masked Jacobian product,
+    against which the fused residual and the window-only Jacobian are checked.
 """
 
 import math
@@ -12,12 +14,14 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ivqr.solver as solver_mod
 from ivqr.model import EstimationProblem, build_problem
 from ivqr.exceptions import ConvergenceError
 from ivqr.projection import iv_estimate, project_instruments
 from ivqr.simulation import winsorized_mean_oracle
+from ivqr.smoothing import itilde
 from ivqr.solver import (
     MAX_ESCALATIONS,
     SeeSolution,
@@ -325,7 +329,7 @@ def test_convergence_error_when_nothing_converges(monkeypatch):
     prob = make_problem(n=30, seed=94)
     zhat = project_instruments(prob)
 
-    def always_fail(prob_, zhat_, beta0, h, tol, log=None):
+    def always_fail(prob_, zhat_, beta0, h, tol, log=None, zw=None):
         return np.asarray(beta0, dtype=float), 1, False, np.inf
 
     monkeypatch.setattr(solver_mod, "_damped_newton", always_fail)
@@ -335,6 +339,131 @@ def test_convergence_error_when_nothing_converges(monkeypatch):
     assert isinstance(diag, SolverDiagnostics)
     assert not diag.converged
     assert diag.bandwidth_escalations == MAX_ESCALATIONS
+
+
+# ------------------------------------------------ fused and window kernels
+
+
+def random_design(seed, weighted, overidentified, tau):
+    rng = np.random.default_rng(seed)
+    n = 150
+    k = 2 if overidentified else 1
+    z = rng.normal(size=(n, k))
+    d = z.sum(axis=1) + 0.5 * rng.normal(size=n)
+    x = rng.normal(size=n)
+    y = 1.0 + d - 0.5 * x + rng.standard_t(3, size=n)
+    w = rng.uniform(0.2, 3.0, size=n) if weighted else None
+    return build_problem(y, raw_exog=x, raw_endog=d, raw_instr=z, weights=w, quantile=tau)
+
+
+def kernel_case(seed, weighted, overidentified, tau, position):
+    """A design, a beta near the IV fit, its residuals, and a bandwidth
+    placed on a log scale from half the smallest |v| to twice the largest."""
+    prob = random_design(seed, weighted, overidentified, tau)
+    zhat = project_instruments(prob)
+    rng = np.random.default_rng(seed + 1)
+    beta = iv_estimate(prob, zhat) + 0.3 * rng.normal(size=prob.p)
+    v = prob.y - prob.X @ beta
+    lo, hi = np.log(np.min(np.abs(v)) / 2.0), np.log(2.0 * np.max(np.abs(v)))
+    return prob, zhat, beta, v, float(np.exp(lo + position * (hi - lo)))
+
+
+kernel_cases = given(
+    seed=st.integers(0, 2**31),
+    weighted=st.booleans(),
+    overidentified=st.booleans(),
+    tau=st.floats(0.05, 0.95),
+    position=st.floats(0.0, 1.0),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@kernel_cases
+def test_fused_residual_matches_indicator_form(seed, weighted, overidentified, tau, position):
+    prob, zhat, beta, v, h = kernel_case(seed, weighted, overidentified, tau, position)
+    want = zhat.Zhat.T @ (prob.w * (itilde(v / h) - prob.tau)) / prob.n
+    # relative to the moment's natural scale, the weighted mean of |zhat|
+    scale = np.abs(zhat.Zhat).T @ prob.w / prob.n
+    for got in (
+        see_residual(prob, zhat, beta, h),
+        see_residual(prob, zhat, beta, h, v=v, zw=solver_mod.instrument_means(prob, zhat)),
+    ):
+        assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+
+@settings(max_examples=80, deadline=None)
+@kernel_cases
+def test_window_jacobian_matches_dense_masked_product(
+    seed, weighted, overidentified, tau, position
+):
+    prob, zhat, beta, v, h = kernel_case(seed, weighted, overidentified, tau, position)
+    wm = prob.w * (np.abs(v) < h)
+    want = (zhat.Zhat * wm[:, None]).T @ prob.X / (2.0 * prob.n * h)
+    scale = np.abs(zhat.Zhat * wm[:, None]).T @ np.abs(prob.X) / (2.0 * prob.n * h)
+    for got in (see_jacobian(prob, zhat, beta, h), see_jacobian(prob, zhat, beta, h, v=v)):
+        assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+
+def test_shared_residual_vector_left_unmodified():
+    prob = make_problem(seed=62, weights="random")
+    zhat = project_instruments(prob)
+    beta = np.array([0.9, 1.1])
+    v = prob.y - prob.X @ beta
+    kept = v.copy()
+    see_residual(prob, zhat, beta, 0.3, v=v)
+    see_jacobian(prob, zhat, beta, 0.3, v=v)
+    assert np.array_equal(v, kept)
+
+
+# ------------------------------------------------------ IV start and ladder
+
+
+def count_iv_calls(monkeypatch):
+    calls = []
+
+    def counted(prob_, zhat_):
+        calls.append(1)
+        return iv_estimate(prob_, zhat_)
+
+    monkeypatch.setattr(solver_mod, "iv_estimate", counted)
+    return calls
+
+
+def test_warm_solve_skips_iv_start(monkeypatch):
+    prob = make_problem(seed=97)
+    zhat = project_instruments(prob)
+    cold = solve_see(prob, zhat, 0.6)
+    calls = count_iv_calls(monkeypatch)
+    warm = solve_see(prob, zhat, 0.6, beta_init=cold.beta)
+    assert warm.diag.homotopy_stages == 1
+    assert calls == []
+
+
+def test_failed_first_rung_falls_back_to_full_ladder(monkeypatch):
+    prob = make_problem(n=200, seed=98, tau=0.3)
+    zhat = project_instruments(prob)
+    resid0 = prob.y - prob.X @ iv_estimate(prob, zhat)
+    h_big = float(np.max(np.abs(resid0))) + 1.0
+    h_top = 2.0 * float(np.std(resid0))
+    assert h_top < h_big, "bad test instance"
+    real = solver_mod._damped_newton
+    seen = []
+
+    def fail_first_rung(prob_, zhat_, beta0, h, tol, log=None, zw=None):
+        seen.append(h)
+        if h == h_top:
+            return np.asarray(beta0, dtype=float), 1, False, np.inf
+        return real(prob_, zhat_, beta0, h, tol, log, zw)
+
+    monkeypatch.setattr(solver_mod, "_damped_newton", fail_first_rung)
+    sol = solve_see(prob, zhat, 0.4)
+    assert sol.diag.converged
+    assert sol.h_used == 0.4
+    assert sol.diag.bandwidth_escalations == 0
+    assert seen[:2] == [h_top, h_big]
+    assert h_top not in seen[1:]
+    direct = solve_see(prob, zhat, 0.4)
+    np.testing.assert_allclose(sol.beta, direct.beta, atol=1e-7)
 
 
 # ------------------------------------------------------------------- trace
