@@ -10,13 +10,8 @@ from ivqr.bandwidth import (
     BandwidthCandidates,
     BandwidthReport,
     PluginFit,
-    b_star,
     fit_with_plugin,
-    kde_f0,
-    kde_fprime0,
     plug_in_bandwidth,
-    robust_sigma,
-    s_star,
 )
 from ivqr.estimate import DEFAULT_SEED, fit
 from ivqr.exceptions import (
@@ -26,39 +21,18 @@ from ivqr.exceptions import (
     SingularMatrixError,
 )
 from ivqr.inference import CovarianceEstimate, analytic_covariance, bayesian_bootstrap
-from ivqr.model import (
-    EstimationProblem,
-    FitResult,
-    build_problem,
-    convert_quantile,
-    unsmoothed_moments,
-)
-from ivqr.projection import (
-    ProjectedInstruments,
-    iv_estimate,
-    least_squares,
-    project_instruments,
-)
+from ivqr.model import EstimationProblem, FitResult, build_problem, convert_quantile
+from ivqr.projection import iv_estimate, project_instruments
 from ivqr.simulation import (
     DgpSpec,
     EstimatorSettings,
     MonteCarloRow,
-    brute_force_qr_oracle,
     generate,
     monte_carlo,
     monte_carlo_to_csv,
     reference_dgp,
-    winsorized_mean_oracle,
 )
-from ivqr.smoothing import SmoothingConstants, itilde, itilde_deriv, smoothing_constants
-from ivqr.solver import (
-    SeeSolution,
-    SolverDiagnostics,
-    see_jacobian,
-    see_residual,
-    solve_see,
-    tol_residual,
-)
+from ivqr.solver import SeeSolution, SolverDiagnostics, solve_see
 
 __version__ = "0.1.0"
 
@@ -75,37 +49,22 @@ __all__ = [
     "FitResult",
     "MonteCarloRow",
     "PluginFit",
-    "ProjectedInstruments",
     "RankDeficientError",
     "SeeSolution",
     "SingularMatrixError",
-    "SmoothingConstants",
     "SolverDiagnostics",
     "analytic_covariance",
-    "b_star",
     "bayesian_bootstrap",
-    "brute_force_qr_oracle",
     "build_problem",
     "convert_quantile",
     "fit",
     "fit_with_plugin",
     "generate",
     "iv_estimate",
-    "kde_f0",
-    "kde_fprime0",
-    "least_squares",
     "monte_carlo",
     "monte_carlo_to_csv",
     "plug_in_bandwidth",
     "project_instruments",
     "reference_dgp",
-    "robust_sigma",
-    "s_star",
-    "see_jacobian",
-    "see_residual",
-    "smoothing_constants",
     "solve_see",
-    "tol_residual",
-    "unsmoothed_moments",
-    "winsorized_mean_oracle",
 ]

@@ -11,14 +11,14 @@ them; the Silverman candidate is always finite, so a request always exists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy.special import ndtri
 
 from ivqr.model import EstimationProblem
-from ivqr.projection import ProjectedInstruments, iv_estimate
+from ivqr.projection import iv_estimate
 from ivqr.smoothing import smoothing_constants
 from ivqr.solver import SolverDiagnostics, residuals, solve_see
 
@@ -208,7 +208,7 @@ class PluginFit(NamedTuple):
 
 def fit_with_plugin(
     prob: EstimationProblem,
-    zhat: ProjectedInstruments,
+    zhat: np.ndarray,
     beta_init=None,
     log=None,
 ) -> PluginFit:
@@ -227,16 +227,7 @@ def fit_with_plugin(
     sol1 = solve_see(prob, zhat, rep1.h_requested, beta_init=beta_init, log=log)
     rep2 = plug_in_bandwidth(prob, residuals(prob, sol1.beta))
     sol2 = solve_see(prob, zhat, rep2.h_requested, beta_init=sol1.beta, log=log)
-    report = BandwidthReport(
-        h_requested=rep2.h_requested,
-        h_used=sol2.h_used,
-        h_max=rep2.h_max,
-        candidates=rep2.candidates,
-        sigma_hat=rep2.sigma_hat,
-        f0_hat=rep2.f0_hat,
-        fprime0_hat=rep2.fprime0_hat,
-        refined=True,
-    )
+    report = replace(rep2, h_used=sol2.h_used, refined=True)
     d1, d2 = sol1.diag, sol2.diag
     diag = SolverDiagnostics(
         iterations=d1.iterations + d2.iterations,

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from ivqr.estimate import DEFAULT_SEED, fit
 from ivqr.exceptions import EstimationError
@@ -107,24 +107,7 @@ def parse_args(argv) -> CliConfig:
     parser.add_argument("--json", dest="json_path", default=None,
                         help="write results as JSON to this path")
     ns = parser.parse_args(argv)
-    return CliConfig(
-        data=ns.data,
-        y=ns.y,
-        exog=ns.exog,
-        endog=ns.endog,
-        iv=ns.iv,
-        weight=ns.weight,
-        quantile=ns.quantile,
-        bandwidth=ns.bandwidth,
-        level=ns.level,
-        reps=ns.reps,
-        seed=ns.seed,
-        noconstant=ns.noconstant,
-        nodots=ns.nodots,
-        log_iterations=ns.log_iterations,
-        initial=ns.initial,
-        json_path=ns.json_path,
-    )
+    return CliConfig(**vars(ns))
 
 
 def ingest_csv(config: CliConfig):
@@ -224,7 +207,7 @@ def render_table(result, tau, names, out):
         b = result.beta[j]
         s = result.se[j]
         z = b / s if s > 0 else np.inf * np.sign(b)
-        pval = 2.0 * (1.0 - norm.cdf(abs(z)))
+        pval = 2.0 * (1.0 - ndtr(abs(z)))
         out.write(
             f"{name:<{name_w}}{b:>12.6g}{s:>12.6g}{z:>9.2f}{pval:>9.3f}"
             f"{result.ci[j, 0]:>13.6g}{result.ci[j, 1]:>13.6g}\n"

@@ -10,10 +10,8 @@ import numpy as np
 from ivqr.bandwidth import normal_pdf, robust_sigma
 from ivqr.exceptions import ConvergenceError, EstimationError, SingularMatrixError
 from ivqr.model import EstimationProblem
-from ivqr.projection import ProjectedInstruments
+from ivqr.projection import solve_nonsingular
 from ivqr.solver import solve_see
-
-RANK_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -30,14 +28,6 @@ class CovarianceEstimate:
     kind: str
     reps_used: int
     kernel_bandwidth: Optional[float]
-
-
-def _solve_spd(S, B):
-    """Solve S X = B with a singularity guard."""
-    svals = np.linalg.svd(S, compute_uv=False)
-    if svals[0] <= 0 or svals[-1] < RANK_RTOL * svals[0]:
-        raise SingularMatrixError("instrument outer-product matrix is singular")
-    return np.linalg.solve(S, B)
 
 
 def analytic_covariance(prob: EstimationProblem, beta_hat) -> CovarianceEstimate:
@@ -67,18 +57,15 @@ def analytic_covariance(prob: EstimationProblem, beta_hat) -> CovarianceEstimate
             "kernel Jacobian is numerically zero; the bandwidth collapsed or the "
             "estimate sits far from the data"
         )
-    A = J.T @ _solve_spd(S, J)
-    svals = np.linalg.svd(A, compute_uv=False)
-    if svals[0] <= 0 or svals[-1] < RANK_RTOL * svals[0]:
-        raise SingularMatrixError("sandwich middle matrix J'S^{-1}J is singular")
-    cov = np.linalg.solve(A, np.eye(prob.p)) / n
+    A = J.T @ solve_nonsingular(S, J, "instrument outer-product matrix is singular")
+    cov = solve_nonsingular(A, np.eye(prob.p), "sandwich middle matrix J'S^{-1}J is singular") / n
     cov = 0.5 * (cov + cov.T)
     return CovarianceEstimate(cov=cov, kind="analytic", reps_used=0, kernel_bandwidth=h_se)
 
 
 def bayesian_bootstrap(
     prob: EstimationProblem,
-    zhat: ProjectedInstruments,
+    zhat: np.ndarray,
     h_used: float,
     beta_hat,
     reps: int,
@@ -112,11 +99,8 @@ def bayesian_bootstrap(
         rng = np.random.default_rng([int(seed), r])
         xi = rng.standard_exponential(n)
         w_r = prob.w * (xi / xi.mean())
-        prob_r = EstimationProblem(
-            y=prob.y, X=prob.X, Z=prob.Z, w=w_r, tau=prob.tau, endog_idx=prob.endog_idx
-        )
         try:
-            betas[r] = solve_see(prob_r, zhat, h_used, beta_init=beta_hat).beta
+            betas[r] = solve_see(prob.reweighted(w_r), zhat, h_used, beta_init=beta_hat).beta
             ok[r] = True
         except (ConvergenceError, SingularMatrixError):
             pass

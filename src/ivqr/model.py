@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 
 def _as_2d(a, name, n_rows=None):
@@ -91,6 +92,21 @@ class EstimationProblem:
         object.__setattr__(self, "w", _readonly(w))
         object.__setattr__(self, "tau", float(self.tau))
         object.__setattr__(self, "endog_idx", endog)
+
+    def reweighted(self, w) -> "EstimationProblem":
+        """This problem with observation weights ``w``, built without validation.
+
+        The copy shares the validated ``y``, ``X`` and ``Z`` of this problem
+        and holds a read-only view of ``w``.  Nothing is checked, so ``w``
+        must already be a finite, nonnegative float array of length n with a
+        positive sum, as ``prob.w * xi / mean(xi)`` is for positive draws
+        ``xi``; the caller must not write to ``w`` afterwards.
+        """
+        w = np.asarray(w, dtype=float).view()
+        w.flags.writeable = False
+        new = copy.copy(self)
+        object.__setattr__(new, "w", w)
+        return new
 
     @property
     def n(self) -> int:
@@ -266,7 +282,7 @@ class FitResult:
         beta = np.asarray(beta, dtype=float).ravel()
         cov = np.asarray(cov, dtype=float)
         se = np.sqrt(np.diag(cov))
-        zq = norm.ppf(0.5 * (1.0 + level))
+        zq = ndtri(0.5 * (1.0 + level))
         ci = np.column_stack([beta - zq * se, beta + zq * se])
         return FitResult(
             beta=beta,

@@ -1,8 +1,7 @@
-"""Instrument projection and the linear IV estimate used for starting values."""
+"""Instrument projection, the linear IV estimate used for starting values,
+and the one rank guard every linear solve in the package goes through."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -10,19 +9,36 @@ import scipy.linalg
 from ivqr.exceptions import RankDeficientError, SingularMatrixError
 from ivqr.model import EstimationProblem
 
+# singular values below this share of the largest count as zero
 RANK_RTOL = 1e-10
 
 
-@dataclass(frozen=True)
-class ProjectedInstruments:
-    """Instruments reduced to the regressor dimension.
+def check_rank(A, label):
+    """Raise :class:`RankDeficientError` unless ``A`` has full column rank.
 
-    ``Zhat`` has one column per regressor; ``rank_z`` is the numeric rank of
-    the weighted instrument matrix.
+    The rank counts singular values above ``RANK_RTOL`` times the largest; a
+    column-pivoted QR then names a column that adds nothing new.
     """
+    svals = np.linalg.svd(A, compute_uv=False)
+    smax = svals[0] if svals.size else 0.0
+    rank = int(np.sum(svals > RANK_RTOL * smax)) if smax > 0 else 0
+    k = A.shape[1]
+    if rank < k:
+        _, _, piv = scipy.linalg.qr(A, mode="economic", pivoting=True)
+        raise RankDeficientError(
+            f"{label} is rank deficient (rank {rank} of {k}); "
+            f"column {min(int(j) for j in piv[rank:])} is linearly dependent on the others"
+        )
 
-    Zhat: np.ndarray
-    rank_z: int
+
+def solve_nonsingular(M, B, message):
+    """Solve ``M X = B``; raise :class:`SingularMatrixError` with ``message``
+    when the smallest singular value of ``M`` is below ``RANK_RTOL`` times
+    the largest."""
+    svals = np.linalg.svd(M, compute_uv=False)
+    if svals[0] <= 0 or svals[-1] < RANK_RTOL * svals[0]:
+        raise SingularMatrixError(message)
+    return np.linalg.solve(M, B)
 
 
 def _weighted(A, w):
@@ -37,8 +53,7 @@ def least_squares(A, B, w=None):
     Minimizes sum_i w_i * ||B_i - A_i' C||^2 column by column, solved through
     an orthogonal decomposition of the row-scaled matrix rather than the
     normal equations.  Raises :class:`RankDeficientError` naming a dependent
-    column when the scaled A loses column rank (singular values below
-    ``RANK_RTOL`` relative to the largest).
+    column when the scaled A loses column rank (see :func:`check_rank`).
     """
     A = np.asarray(A, dtype=float)
     if A.ndim == 1:
@@ -50,64 +65,40 @@ def least_squares(A, B, w=None):
     if A.shape[0] != B.shape[0]:
         raise ValueError(f"A has {A.shape[0]} rows but B has {B.shape[0]}")
     aw = _weighted(A, w)
-    bw = _weighted(B, w)
-    k = A.shape[1]
-    svals = np.linalg.svd(aw, compute_uv=False)
-    smax = svals[0] if svals.size else 0.0
-    rank = int(np.sum(svals > RANK_RTOL * smax)) if smax > 0 else 0
-    if rank < k:
-        # column-pivoted QR points at the columns that add nothing new
-        _, _, piv = scipy.linalg.qr(aw, mode="economic", pivoting=True)
-        offending = sorted(int(j) for j in piv[rank:])
-        raise RankDeficientError(
-            f"design matrix is rank deficient (rank {rank} of {k}); "
-            f"column {offending[0]} is linearly dependent on the others"
-        )
-    C, _, _, _ = np.linalg.lstsq(aw, bw, rcond=None)
+    check_rank(aw, "design matrix")
+    C, _, _, _ = np.linalg.lstsq(aw, _weighted(B, w), rcond=None)
     return C[:, 0] if b_was_1d else C
 
 
-def project_instruments(prob: EstimationProblem) -> ProjectedInstruments:
-    """Reduce q instruments to p projected instruments.
+def project_instruments(prob: EstimationProblem) -> np.ndarray:
+    """Reduce q instruments to the (n, p) projected-instrument array.
 
     Exactly identified problems pass Z through unchanged; overidentified ones
     use the weighted least-squares fit of X on Z, so the projected columns
-    are the first-stage fitted values.
+    are the first-stage fitted values.  Raises :class:`RankDeficientError`
+    when the weighted instruments lose column rank.
     """
     Z, X, w = prob.Z, prob.X, prob.w
-    aw = _weighted(Z, w)
-    svals = np.linalg.svd(aw, compute_uv=False)
-    smax = svals[0] if svals.size else 0.0
-    rank_z = int(np.sum(svals > RANK_RTOL * smax)) if smax > 0 else 0
-    if rank_z < prob.q:
-        _, _, piv = scipy.linalg.qr(aw, mode="economic", pivoting=True)
-        offending = sorted(int(j) for j in piv[rank_z:])
-        raise RankDeficientError(
-            f"instrument matrix is rank deficient (rank {rank_z} of {prob.q}); "
-            f"column {offending[0]} is linearly dependent on the others"
-        )
+    check_rank(_weighted(Z, w), "instrument matrix")
     if prob.q == prob.p:
-        return ProjectedInstruments(Zhat=prob.Z, rank_z=rank_z)
-    C = least_squares(Z, X, w)
-    return ProjectedInstruments(Zhat=Z @ C, rank_z=rank_z)
+        return Z
+    return Z @ least_squares(Z, X, w)
 
 
-def iv_estimate(prob: EstimationProblem, zhat: ProjectedInstruments) -> np.ndarray:
+def iv_estimate(prob: EstimationProblem, zhat: np.ndarray) -> np.ndarray:
     """Linear instrumental-variables estimate solving the projected moments.
 
     Solves (1/n) sum w_i zhat_i x_i' beta = (1/n) sum w_i zhat_i y_i, i.e.
     the weighted 2SLS estimate when the projection came from the first
     stage.
     """
-    Zh = zhat.Zhat
     n = prob.n
-    wz = Zh * prob.w[:, None]
+    wz = zhat * prob.w[:, None]
     M = wz.T @ prob.X / n
     m_y = wz.T @ prob.y / n
-    svals = np.linalg.svd(M, compute_uv=False)
-    if svals[0] <= 0 or svals[-1] < RANK_RTOL * svals[0]:
-        raise SingularMatrixError(
-            "instrument/regressor cross-moment matrix is singular; instruments may be "
-            "weak or collinear - inspect the first-stage fit"
-        )
-    return np.linalg.solve(M, m_y)
+    return solve_nonsingular(
+        M,
+        m_y,
+        "instrument/regressor cross-moment matrix is singular; instruments may be "
+        "weak or collinear - inspect the first-stage fit",
+    )

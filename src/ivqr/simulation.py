@@ -8,7 +8,7 @@ from itertools import combinations
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from ivqr.estimate import fit
 from ivqr.exceptions import EstimationError
@@ -55,7 +55,7 @@ def reference_dgp(n: int = 2000, seed: int = 0) -> DgpSpec:
 
 
 def _default_beta0(u):
-    return norm.ppf(u)
+    return ndtri(u)
 
 
 def _default_beta1(u):
@@ -89,7 +89,7 @@ def generate(spec: DgpSpec, tau: float = 0.5):
         prob = build_problem(y, raw_endog=x, raw_instr=z, quantile=tau)
 
         def true_beta_at(t):
-            return np.array([spec.beta1, spec.beta0 + norm.ppf(t)])
+            return np.array([spec.beta1, spec.beta0 + ndtri(t)])
 
         return prob, true_beta_at
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from ivqr.exceptions import ConvergenceError
 from ivqr.model import EstimationProblem
-from ivqr.projection import ProjectedInstruments, iv_estimate
+from ivqr.projection import iv_estimate
 
 MAX_NEWTON_ITER = 200
 MAX_BACKTRACK = 30
@@ -57,12 +57,12 @@ def residuals(prob: EstimationProblem, beta) -> np.ndarray:
     return np.subtract(prob.y, v, out=v)
 
 
-def instrument_means(prob: EstimationProblem, zhat: ProjectedInstruments) -> np.ndarray:
+def instrument_means(prob: EstimationProblem, zhat: np.ndarray) -> np.ndarray:
     """Weighted instrument means Zhat'w / n, the constant part of the moment."""
-    return zhat.Zhat.T @ prob.w / prob.n
+    return zhat.T @ prob.w / prob.n
 
 
-def see_residual(prob: EstimationProblem, zhat: ProjectedInstruments, beta, h, v=None, zw=None):
+def see_residual(prob: EstimationProblem, zhat: np.ndarray, beta, h, v=None, zw=None):
     """Smoothed sample moment vector at ``beta`` with bandwidth ``h``.
 
     Uses itilde(v/h) - tau = (1/2 - tau) - clip(v, -h, h)/(2h), so the moment
@@ -77,10 +77,10 @@ def see_residual(prob: EstimationProblem, zhat: ProjectedInstruments, beta, h, v
         zw = instrument_means(prob, zhat)
     t = np.clip(v, -h, h)
     t *= prob.w
-    return (0.5 - prob.tau) * zw - zhat.Zhat.T @ t / (2.0 * h * prob.n)
+    return (0.5 - prob.tau) * zw - zhat.T @ t / (2.0 * h * prob.n)
 
 
-def see_jacobian(prob: EstimationProblem, zhat: ProjectedInstruments, beta, h, v=None):
+def see_jacobian(prob: EstimationProblem, zhat: np.ndarray, beta, h, v=None):
     """Derivative of :func:`see_residual` with respect to ``beta``.
 
     Only observations strictly inside the smoothing window contribute; the
@@ -91,12 +91,12 @@ def see_jacobian(prob: EstimationProblem, zhat: ProjectedInstruments, beta, h, v
     if v is None:
         v = residuals(prob, beta)
     rows = np.flatnonzero(np.abs(v) < h)
-    zw_in = zhat.Zhat.take(rows, axis=0)
+    zw_in = zhat.take(rows, axis=0)
     zw_in *= prob.w.take(rows)[:, None]
     return zw_in.T @ prob.X.take(rows, axis=0) / (2.0 * prob.n * h)
 
 
-def tol_residual(prob: EstimationProblem, zhat: ProjectedInstruments, zw=None) -> float:
+def tol_residual(prob: EstimationProblem, zhat: np.ndarray, zw=None) -> float:
     """Convergence tolerance, scaled by the weighted instrument means."""
     if zw is None:
         zw = instrument_means(prob, zhat)
@@ -160,7 +160,7 @@ def _ladder(top: float, target: float) -> list:
 
 def solve_see(
     prob: EstimationProblem,
-    zhat: ProjectedInstruments,
+    zhat: np.ndarray,
     h_request: float,
     beta_init=None,
     log=None,

@@ -171,6 +171,26 @@ def test_bootstrap_replication_prefix_stable():
     np.testing.assert_array_equal(draws[20][:10], draws[10])
 
 
+def test_reweighted_problem_shares_data_and_solves_like_a_rebuilt_one():
+    prob = iv_problem(400, seed=9)
+    beta_hat, zhat = point_estimate(prob)
+    xi = np.random.default_rng([7, 0]).standard_exponential(prob.n)
+    w_r = prob.w * (xi / xi.mean())
+    cheap = prob.reweighted(w_r)
+    assert cheap.y is prob.y and cheap.X is prob.X and cheap.Z is prob.Z
+    assert (cheap.tau, cheap.endog_idx) == (prob.tau, prob.endog_idx)
+    with pytest.raises(ValueError):
+        cheap.w[0] = 1.0
+    rebuilt = EstimationProblem(
+        y=prob.y, X=prob.X, Z=prob.Z, w=w_r, tau=prob.tau, endog_idx=prob.endog_idx
+    )
+    h = 1.06 * prob.n ** (-0.2)
+    for beta_init in (beta_hat, None):
+        got = solve_see(cheap, zhat, h, beta_init=beta_init).beta
+        want = solve_see(rebuilt, zhat, h, beta_init=beta_init).beta
+        np.testing.assert_array_equal(got, want)
+
+
 def test_bootstrap_rejects_too_few_reps():
     prob = iv_problem(100, seed=10)
     zhat = project_instruments(prob)

@@ -5,7 +5,13 @@ import pytest
 
 from ivqr.exceptions import RankDeficientError, SingularMatrixError
 from ivqr.model import EstimationProblem, build_problem
-from ivqr.projection import iv_estimate, least_squares, project_instruments
+from ivqr.projection import (
+    check_rank,
+    iv_estimate,
+    least_squares,
+    project_instruments,
+    solve_nonsingular,
+)
 
 
 def make_problem(n=200, seed=5, extra_instruments=1, weights=None):
@@ -57,6 +63,22 @@ def test_least_squares_names_dependent_column():
     A = np.column_stack([a, 2 * a, rng.normal(size=40)])
     with pytest.raises(RankDeficientError, match="column [01]"):
         least_squares(A, rng.normal(size=40))
+    # both guards cut at a singular-value ratio of 1e-10: Q diag(s) and
+    # R diag(s) R' (Q orthonormal columns, R orthogonal) have singular values s
+    Q, _ = np.linalg.qr(rng.normal(size=(40, 3)))
+    R, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    b = rng.normal(size=3)
+    for ratio in (1e-11, 1e-9):
+        s = np.array([1.0, 0.5, ratio])
+        M = (R * s) @ R.T
+        if ratio < 1e-10:
+            with pytest.raises(RankDeficientError, match="test matrix .*column 2"):
+                check_rank(Q * s, "test matrix")
+            with pytest.raises(SingularMatrixError, match="test message"):
+                solve_nonsingular(M, b, "test message")
+        else:
+            check_rank(Q * s, "test matrix")
+            np.testing.assert_allclose(M @ solve_nonsingular(M, b, "test message"), b, atol=1e-6)
 
 
 def test_least_squares_row_mismatch():
@@ -70,16 +92,15 @@ def test_least_squares_row_mismatch():
 def test_projection_passthrough_when_exactly_identified():
     prob = make_problem(extra_instruments=0)
     zhat = project_instruments(prob)
-    assert zhat.Zhat is prob.Z
-    assert zhat.rank_z == prob.q
+    assert zhat is prob.Z
 
 
 def test_projection_columns_are_first_stage_fits():
     prob = make_problem(extra_instruments=2)
     zhat = project_instruments(prob)
-    assert zhat.Zhat.shape == (prob.n, prob.p)
+    assert zhat.shape == (prob.n, prob.p)
     # residuals of each regressor after projection are orthogonal to Z
-    resid = prob.X - zhat.Zhat
+    resid = prob.X - zhat
     gram = prob.Z.T @ (prob.w[:, None] * resid)
     assert np.max(np.abs(gram)) / prob.n < 1e-10
 
@@ -88,8 +109,8 @@ def test_projection_exog_columns_reproduced_exactly():
     # an exogenous regressor instruments itself, so its first-stage fit is itself
     prob = make_problem(extra_instruments=2)
     zhat = project_instruments(prob)
-    np.testing.assert_allclose(zhat.Zhat[:, 1], prob.X[:, 1], atol=1e-10)
-    np.testing.assert_allclose(zhat.Zhat[:, 2], prob.X[:, 2], atol=1e-10)
+    np.testing.assert_allclose(zhat[:, 1], prob.X[:, 1], atol=1e-10)
+    np.testing.assert_allclose(zhat[:, 2], prob.X[:, 2], atol=1e-10)
 
 
 def test_projection_detects_collinear_instruments():

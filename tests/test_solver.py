@@ -70,7 +70,7 @@ def test_residual_matches_fsum_oracle():
         for i in range(prob.n):
             v = prob.y[i] - float(prob.X[i] @ beta)
             terms.append(
-                prob.w[i] * zhat.Zhat[i, k] * (ramp_longhand(v / h) - prob.tau)
+                prob.w[i] * zhat[i, k] * (ramp_longhand(v / h) - prob.tau)
             )
         assert got[k] == pytest.approx(math.fsum(terms) / prob.n, abs=1e-14)
 
@@ -381,9 +381,9 @@ kernel_cases = given(
 @kernel_cases
 def test_fused_residual_matches_indicator_form(seed, weighted, overidentified, tau, position):
     prob, zhat, beta, v, h = kernel_case(seed, weighted, overidentified, tau, position)
-    want = zhat.Zhat.T @ (prob.w * (itilde(v / h) - prob.tau)) / prob.n
+    want = zhat.T @ (prob.w * (itilde(v / h) - prob.tau)) / prob.n
     # relative to the moment's natural scale, the weighted mean of |zhat|
-    scale = np.abs(zhat.Zhat).T @ prob.w / prob.n
+    scale = np.abs(zhat).T @ prob.w / prob.n
     for got in (
         see_residual(prob, zhat, beta, h),
         see_residual(prob, zhat, beta, h, v=v, zw=solver_mod.instrument_means(prob, zhat)),
@@ -398,8 +398,8 @@ def test_window_jacobian_matches_dense_masked_product(
 ):
     prob, zhat, beta, v, h = kernel_case(seed, weighted, overidentified, tau, position)
     wm = prob.w * (np.abs(v) < h)
-    want = (zhat.Zhat * wm[:, None]).T @ prob.X / (2.0 * prob.n * h)
-    scale = np.abs(zhat.Zhat * wm[:, None]).T @ np.abs(prob.X) / (2.0 * prob.n * h)
+    want = (zhat * wm[:, None]).T @ prob.X / (2.0 * prob.n * h)
+    scale = np.abs(zhat * wm[:, None]).T @ np.abs(prob.X) / (2.0 * prob.n * h)
     for got in (see_jacobian(prob, zhat, beta, h), see_jacobian(prob, zhat, beta, h, v=v)):
         assert np.all(np.abs(got - want) <= 1e-12 * scale)
 
