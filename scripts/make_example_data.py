@@ -42,8 +42,7 @@ def main(argv=None) -> int:
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(names)
-        for i in range(args.n):
-            writer.writerow([repr(float(cols[name][i])) for name in names])
+        writer.writerows(zip(*(col.tolist() for col in cols.values())))
     print(f"wrote {args.out} ({args.n} rows: {', '.join(names)})")
     print("try: python3 -m ivqr.cli --data", args.out,
           "--y wage --endog educ --exog age --iv dist --quantile 0.5")

@@ -6,6 +6,7 @@ import argparse
 import csv
 import json
 import sys
+import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -116,6 +117,10 @@ def ingest_csv(config: CliConfig):
     Returns (problem, coefficient names, number of dropped rows).  Rows with
     any missing cell among the referenced columns are dropped listwise by
     the problem builder; unparseable cells raise with their row and column.
+
+    The data rows are parsed in one ``np.loadtxt`` call.  Input it rejects
+    (an empty cell, a short row, text that is not a number) is read again
+    cell by cell, which maps missing cells to NaN and names a bad cell.
     """
     cols = [config.y] + config.endog + config.exog + config.iv
     if config.weight:
@@ -130,34 +135,30 @@ def ingest_csv(config: CliConfig):
         missing = [c for c in dict.fromkeys(cols) if c not in header]
         if missing:
             raise ValueError(f"columns not found in {config.data}: {missing}")
-        idx = {c: header.index(c) for c in dict.fromkeys(cols)}
-        parsed = {c: [] for c in idx}
-        for i, row in enumerate(reader, start=2):  # line 1 is the header
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            for c, j in idx.items():
-                cell = row[j].strip() if j < len(row) else ""
-                if cell == "":
-                    parsed[c].append(np.nan)
-                    continue
-                try:
-                    parsed[c].append(float(cell))
-                except ValueError:
-                    raise ValueError(
-                        f"unparseable value {cell!r} at line {i}, column {c!r} of {config.data}"
-                    )
-    if not parsed[config.y]:
+        usecols = [header.index(c) for c in cols]
+        try:
+            with warnings.catch_warnings():
+                # a file without data rows is reported below, not warned about
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                table = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"',
+                                   usecols=usecols, ndmin=2, dtype=float)
+        except ValueError:
+            fh.seek(0)
+            reader = csv.reader(fh)
+            next(reader)
+            table = _parse_cells(reader, cols, usecols, config.data)
+    if table.shape[0] == 0:
         raise ValueError(f"{config.data} has a header but no observations")
-    arrays = {c: np.asarray(v, dtype=float) for c, v in parsed.items()}
-    used = np.column_stack([arrays[c] for c in idx])
-    n_dropped = int(np.isnan(used).any(axis=1).sum())
-    stack = lambda names: np.column_stack([arrays[c] for c in names]) if names else None
+    n_dropped = int(np.isnan(table).any(axis=1).sum())
+    # the table's columns follow cols: y, endogenous, exogenous, instruments, weight
+    block = lambda names, start: table[:, start:start + len(names)] if names else None
+    n_endog, n_exog = len(config.endog), len(config.exog)
     prob = build_problem(
-        arrays[config.y],
-        raw_exog=stack(config.exog),
-        raw_endog=stack(config.endog),
-        raw_instr=stack(config.iv),
-        weights=arrays[config.weight] if config.weight else None,
+        table[:, 0],
+        raw_exog=block(config.exog, 1 + n_endog),
+        raw_endog=block(config.endog, 1),
+        raw_instr=block(config.iv, 1 + n_endog + n_exog),
+        weights=table[:, -1] if config.weight else None,
         quantile=config.quantile,
         add_constant=not config.noconstant,
     )
@@ -165,6 +166,32 @@ def ingest_csv(config: CliConfig):
     if not config.noconstant:
         names.append("_cons")
     return prob, names, n_dropped
+
+
+def _parse_cells(reader, cols, usecols, path):
+    """Cell-by-cell read of the data rows into an (n, len(cols)) table.
+
+    Blank rows are skipped; an empty or absent cell becomes NaN, and any
+    other cell that ``float`` rejects raises with its line and column.
+    """
+    rows = []
+    for i, row in enumerate(reader, start=2):  # line 1 is the header
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        values = []
+        for c, j in zip(cols, usecols):
+            cell = row[j].strip() if j < len(row) else ""
+            if cell == "":
+                values.append(np.nan)
+                continue
+            try:
+                values.append(float(cell))
+            except ValueError:
+                raise ValueError(
+                    f"unparseable value {cell!r} at line {i}, column {c!r} of {path}"
+                )
+        rows.append(values)
+    return np.array(rows, dtype=float).reshape(-1, len(cols))
 
 
 def _make_progress(out):

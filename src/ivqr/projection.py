@@ -78,11 +78,14 @@ def project_instruments(prob: EstimationProblem) -> np.ndarray:
     are the first-stage fitted values.  Raises :class:`RankDeficientError`
     when the weighted instruments lose column rank.
     """
-    Z, X, w = prob.Z, prob.X, prob.w
-    check_rank(_weighted(Z, w), "instrument matrix")
+    Z, w = prob.Z, prob.w
+    zw = _weighted(Z, w)
+    check_rank(zw, "instrument matrix")
     if prob.q == prob.p:
         return Z
-    return Z @ least_squares(Z, X, w)
+    # least_squares(Z, X, w), without weighting and rank-checking Z a second time
+    coef, _, _, _ = np.linalg.lstsq(zw, _weighted(prob.X, w), rcond=None)
+    return Z @ coef
 
 
 def iv_estimate(prob: EstimationProblem, zhat: np.ndarray) -> np.ndarray:

@@ -9,11 +9,15 @@ import json
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ivqr.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, main
+import ivqr.cli
+from ivqr.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, CliConfig, ingest_csv, main
+from ivqr.model import build_problem
 
 
 def write_csv(path, columns):
@@ -294,6 +298,155 @@ def test_missing_cells_in_unused_columns_ignored(tmp_path, capsys):
     assert "note: dropped" not in out
 
 
+# ------------------------------------------------------------------ ingest
+
+
+def reference_ingest(config):
+    """The cell-by-cell reading: csv.reader, str.strip and float() per cell.
+
+    Returns what ingest_csv returns, or raises as ingest_csv must.
+    """
+    cols = [config.y] + config.endog + config.exog + config.iv
+    if config.weight:
+        cols.append(config.weight)
+    with open(config.data, newline="") as fh:
+        reader = csv.reader(fh)
+        header = [h.strip() for h in next(reader)]
+        idx = {c: header.index(c) for c in dict.fromkeys(cols)}
+        parsed = {c: [] for c in idx}
+        for i, row in enumerate(reader, start=2):
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            for c, j in idx.items():
+                cell = row[j].strip() if j < len(row) else ""
+                if cell == "":
+                    parsed[c].append(np.nan)
+                    continue
+                try:
+                    parsed[c].append(float(cell))
+                except ValueError:
+                    raise ValueError(
+                        f"unparseable value {cell!r} at line {i}, column {c!r} of {config.data}"
+                    )
+    if not parsed[config.y]:
+        raise ValueError(f"{config.data} has a header but no observations")
+    arrays = {c: np.asarray(v, dtype=float) for c, v in parsed.items()}
+    n_dropped = int(np.isnan(np.column_stack(list(arrays.values()))).any(axis=1).sum())
+    stack = lambda names: np.column_stack([arrays[c] for c in names]) if names else None
+    prob = build_problem(
+        arrays[config.y],
+        raw_exog=stack(config.exog),
+        raw_endog=stack(config.endog),
+        raw_instr=stack(config.iv),
+        weights=arrays[config.weight] if config.weight else None,
+        quantile=config.quantile,
+        add_constant=not config.noconstant,
+    )
+    names = config.endog + config.exog + ([] if config.noconstant else ["_cons"])
+    return prob, names, n_dropped
+
+
+REFERENCED = ("y", "d", "x", "z", "w")
+NUMBERS = st.one_of(
+    st.floats(min_value=1e-3, max_value=1e6).map(repr),
+    st.floats(min_value=0.0, max_value=1e6).map(lambda v: f"{v:.6e}"),
+    st.integers(0, 999).map(str),
+    st.sampled_from(["1e3", "+.5", "3.", "2.5E-2", "7E+00", "-0", "0.1e-1", "1E-310"]),
+)
+MISSING = st.sampled_from(["", "nan", "NaN", " \t"])
+ODD = st.sampled_from(["-inf", "Infinity", "-2.5", "abc", "1#5", "1_0", "1d0", "0x10", "1 5", "2e"])
+# whitespace around a value is stripped, inside quotes or outside them
+LAYOUTS = st.sampled_from(["{}", "{}", "{}", " {} ", "\t{}", "{}\t ", '"{}"', '" {}\t"', '"{}" '])
+# whitespace before an opening quote, or a quote inside a cell, keeps the quotes as text
+ODD_LAYOUTS = st.sampled_from([' "{}"', '\t"{}" ', '{}"', '"{}""'])
+
+
+@st.composite
+def csv_cells(draw, referenced, messy):
+    kind = draw(st.integers(0, 39))
+    if not referenced and kind < 10:
+        text = draw(st.sampled_from(["a,b", "x, y", "", "label"]))
+    elif kind == 10:
+        text = draw(MISSING)
+    elif kind == 11 and messy:
+        text = draw(ODD)
+    else:
+        text = draw(NUMBERS)
+    if "," in text:
+        return f'"{text}"'
+    return draw(ODD_LAYOUTS if kind == 12 and messy else LAYOUTS).format(text)
+
+
+@st.composite
+def csv_texts(draw):
+    header = draw(st.permutations(list(REFERENCED) + ["u1", "u2"]))
+    messy = draw(st.booleans())
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 10))):
+        shape = draw(st.integers(0, 11))
+        if shape == 0:
+            lines.append(draw(st.sampled_from(["", "  ", "\t", " , ,", ",,,,,,"])))
+            continue
+        row = [draw(csv_cells(name in REFERENCED, messy)) for name in header]
+        if shape == 1:
+            row = row[: draw(st.integers(1, len(row) - 1))]
+        elif shape == 2:
+            row += [draw(csv_cells(False, messy)), "extra"]
+        lines.append(",".join(row))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + (newline if draw(st.booleans()) else "")
+
+
+def outcome(read):
+    try:
+        prob, names, n_dropped = read()
+    except ValueError as exc:
+        return "error", str(exc)
+    return "ok", [a.tobytes() for a in (prob.y, prob.X, prob.Z, prob.w)], names, n_dropped
+
+
+@pytest.fixture(scope="module")
+def ingest_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("ingest")
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=csv_texts(), weighted=st.booleans(), exog=st.sampled_from([["x"], []]))
+def test_ingest_matches_cell_by_cell_reading(ingest_dir, text, weighted, exog):
+    path = ingest_dir / "data.csv"
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+    config = CliConfig(data=str(path), y="y", endog=["d"], exog=exog, iv=["z"],
+                       quantile=0.5, weight="w" if weighted else None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = outcome(lambda: ingest_csv(config))
+    assert got == outcome(lambda: reference_ingest(config))
+
+
+def test_clean_input_skips_cell_by_cell_reading(tmp_path, monkeypatch):
+    calls = []
+    parse_cells = ivqr.cli._parse_cells
+    monkeypatch.setattr(ivqr.cli, "_parse_cells", lambda *a: calls.append(1) or parse_cells(*a))
+    cols = demo_columns(n=40, seed=6)
+    config = CliConfig(data=write_csv(tmp_path / "clean.csv", cols), y="wage",
+                       endog=["educ"], exog=["age"], iv=["dist"], quantile=0.5)
+    assert ingest_csv(config)[2] == 0
+    # quoted cells, and a quoted comma in a column the model does not use
+    lines = open(config.data).read().splitlines()
+    quoted = tmp_path / "quoted.csv"
+    quoted.write_text("".join(",".join(f'"{c}"' for c in line.split(",")) + ',"a,b"\n'
+                              for line in lines))
+    config.data = str(quoted)
+    assert ingest_csv(config)[2] == 0
+    assert calls == []
+    cols = {k: list(v) for k, v in cols.items()}
+    cols["age"][3] = None
+    config.data = write_csv(tmp_path / "gap.csv", cols)
+    assert ingest_csv(config)[2] == 1
+    assert calls == [1]
+
+
 # -------------------------------------------------------------- exit codes
 
 
@@ -339,6 +492,36 @@ def test_header_only_file(tmp_path, capsys):
     )
     assert code == EXIT_INPUT
     assert "no observations" in err
+
+
+@pytest.mark.parametrize("line, cell, column", [("4.0,5.0,1#5", "1#5", "dist"),
+                                                 ("#4.0,5.0,6.0", "#4.0", "wage")])
+def test_comment_character_is_not_special(tmp_path, capsys, line, cell, column):
+    path = tmp_path / "hash.csv"
+    path.write_text(f"wage,educ,dist\n1.0,2.0,3.0\n{line}\n7.0,8.0,9.0\n")
+    code, out, err = run_cli(
+        ["--data", str(path), "--y", "wage", "--endog", "educ", "--iv", "dist",
+         "--quantile", "0.5"],
+        capsys,
+    )
+    assert code == EXIT_INPUT
+    assert f"unparseable value '{cell}' at line 3, column '{column}'" in err
+
+
+@pytest.mark.parametrize("body", ["", "\n\n", "\r\n\n\r\n", "  \n , ,\n\t\n"])
+def test_no_observations_raises_no_warning(tmp_path, capsys, body):
+    path = tmp_path / "blank.csv"
+    with open(path, "w", newline="") as fh:
+        fh.write("wage,educ,dist\n" + body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(
+            ["--data", str(path), "--y", "wage", "--endog", "educ", "--iv", "dist",
+             "--quantile", "0.5"],
+            capsys,
+        )
+    assert code == EXIT_INPUT
+    assert "has a header but no observations" in err
 
 
 def test_completely_empty_file(tmp_path, capsys):

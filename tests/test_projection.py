@@ -113,6 +113,24 @@ def test_projection_exog_columns_reproduced_exactly():
     np.testing.assert_allclose(zhat[:, 2], prob.X[:, 2], atol=1e-10)
 
 
+def test_overidentified_projection_checks_weighted_instruments_once(monkeypatch):
+    import ivqr.projection as projection
+
+    w = np.random.default_rng(21).uniform(0.5, 2.0, size=300)
+    prob = make_problem(n=300, extra_instruments=2, weights=w)
+    labels = []
+
+    def counting_check_rank(A, label):
+        labels.append(label)
+        return check_rank(A, label)
+
+    monkeypatch.setattr(projection, "check_rank", counting_check_rank)
+    zhat = project_instruments(prob)
+    assert labels == ["instrument matrix"]
+    # bit-identical to the first-stage fit through least_squares
+    np.testing.assert_array_equal(zhat, prob.Z @ least_squares(prob.Z, prob.X, prob.w))
+
+
 def test_projection_detects_collinear_instruments():
     rng = np.random.default_rng(8)
     n = 60
