@@ -19,7 +19,6 @@ from ivqr.simulation import (
     LOCATION_SHIFT,
     RANDOM_COEFFICIENT,
     DgpSpec,
-    EstimatorSettings,
     monte_carlo,
     monte_carlo_to_csv,
 )
@@ -57,10 +56,9 @@ def main(argv=None) -> int:
         pi=args.pi,
         n_instruments=args.instruments,
     )
-    settings = EstimatorSettings(bandwidth=args.bandwidth, level=args.level)
 
     t0 = time.perf_counter()
-    rows = monte_carlo(spec, taus, args.reps, settings=settings)
+    rows = monte_carlo(spec, taus, args.reps, bandwidth=args.bandwidth, level=args.level)
     elapsed = time.perf_counter() - t0
 
     print(f"design: {args.kind}, n={args.n}, reps={args.reps}, "

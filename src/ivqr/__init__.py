@@ -25,7 +25,6 @@ from ivqr.model import EstimationProblem, FitResult, build_problem, convert_quan
 from ivqr.projection import iv_estimate, project_instruments
 from ivqr.simulation import (
     DgpSpec,
-    EstimatorSettings,
     MonteCarloRow,
     generate,
     monte_carlo,
@@ -45,7 +44,6 @@ __all__ = [
     "DgpSpec",
     "EstimationError",
     "EstimationProblem",
-    "EstimatorSettings",
     "FitResult",
     "MonteCarloRow",
     "PluginFit",

@@ -210,7 +210,6 @@ def fit_with_plugin(
     prob: EstimationProblem,
     zhat: np.ndarray,
     beta_init=None,
-    log=None,
 ) -> PluginFit:
     """Estimate with the plug-in bandwidth and one refinement pass.
 
@@ -224,9 +223,9 @@ def fit_with_plugin(
     """
     start = iv_estimate(prob, zhat) if beta_init is None else np.asarray(beta_init, float)
     rep1 = plug_in_bandwidth(prob, residuals(prob, start))
-    sol1 = solve_see(prob, zhat, rep1.h_requested, beta_init=beta_init, log=log)
+    sol1 = solve_see(prob, zhat, rep1.h_requested, beta_init=beta_init)
     rep2 = plug_in_bandwidth(prob, residuals(prob, sol1.beta))
-    sol2 = solve_see(prob, zhat, rep2.h_requested, beta_init=sol1.beta, log=log)
+    sol2 = solve_see(prob, zhat, rep2.h_requested, beta_init=sol1.beta)
     report = replace(rep2, h_used=sol2.h_used, refined=True)
     d1, d2 = sol1.diag, sol2.diag
     diag = SolverDiagnostics(

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import logging
 import sys
 import warnings
 from dataclasses import dataclass, field
@@ -273,20 +274,28 @@ def run_estimation(config: CliConfig, out=None, err=None):
         raise ValueError(
             f"--initial supplies {len(config.initial)} values but the model has {prob.p} coefficients"
         )
-    log = (lambda line: err.write(line + "\n")) if config.log_iterations else None
     progress = None
     if config.reps > 0 and not config.nodots:
         progress = _make_progress(out)
-    result = fit(
-        prob,
-        bandwidth=config.bandwidth,
-        level=config.level / 100.0,
-        reps=config.reps,
-        seed=config.seed,
-        beta_init=config.initial,
-        iteration_log=log,
-        progress=progress,
-    )
+    solver_log = logging.getLogger("ivqr.solver")
+    log_level = solver_log.level
+    handler = logging.StreamHandler(err)
+    if config.log_iterations:
+        solver_log.addHandler(handler)
+        solver_log.setLevel(logging.DEBUG)
+    try:
+        result = fit(
+            prob,
+            bandwidth=config.bandwidth,
+            level=config.level / 100.0,
+            reps=config.reps,
+            seed=config.seed,
+            beta_init=config.initial,
+            progress=progress,
+        )
+    finally:
+        solver_log.removeHandler(handler)
+        solver_log.setLevel(log_level)
     if progress is not None and config.reps % 50 != 0:
         out.write("\n")
     render_table(result, prob.tau, names, out)

@@ -20,7 +20,6 @@ def fit(
     reps: int = 0,
     seed: int = DEFAULT_SEED,
     beta_init=None,
-    iteration_log=None,
     progress=None,
 ) -> FitResult:
     """Project instruments, solve the smoothed equations, and attach a VCE.
@@ -41,9 +40,9 @@ def fit(
         raise ValueError(f"level must lie strictly between 0 and 1, got {level}")
     zhat = project_instruments(prob)
     if bandwidth is None:
-        beta, report, diag = fit_with_plugin(prob, zhat, beta_init=beta_init, log=iteration_log)
+        beta, report, diag = fit_with_plugin(prob, zhat, beta_init=beta_init)
     else:
-        sol = solve_see(prob, zhat, float(bandwidth), beta_init=beta_init, log=iteration_log)
+        sol = solve_see(prob, zhat, float(bandwidth), beta_init=beta_init)
         beta, diag = sol.beta, sol.diag
         report = BandwidthReport(h_requested=float(bandwidth), h_used=sol.h_used)
     if reps == 0:

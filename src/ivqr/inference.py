@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from typing import Optional
 
@@ -86,7 +87,9 @@ def bayesian_bootstrap(
 
     Results are identical for any execution order because each substream
     depends only on (seed, r).  ``progress`` is called once per finished
-    replication with the replication index.
+    replication with the replication index.  The replications' Newton steps
+    stay out of the ``ivqr.solver`` iteration log, which covers the point
+    estimate.
     """
     reps = int(reps)
     if reps < 2:
@@ -95,17 +98,23 @@ def bayesian_bootstrap(
     n = prob.n
     betas = np.empty((reps, prob.p))
     ok = np.zeros(reps, dtype=bool)
-    for r in range(reps):
-        rng = np.random.default_rng([int(seed), r])
-        xi = rng.standard_exponential(n)
-        w_r = prob.w * (xi / xi.mean())
-        try:
-            betas[r] = solve_see(prob.reweighted(w_r), zhat, h_used, beta_init=beta_hat).beta
-            ok[r] = True
-        except (ConvergenceError, SingularMatrixError):
-            pass
-        if progress is not None:
-            progress(r)
+    solver_log = logging.getLogger("ivqr.solver")
+    log_level = solver_log.level
+    solver_log.setLevel(logging.INFO)
+    try:
+        for r in range(reps):
+            rng = np.random.default_rng([int(seed), r])
+            xi = rng.standard_exponential(n)
+            w_r = prob.w * (xi / xi.mean())
+            try:
+                betas[r] = solve_see(prob.reweighted(w_r), zhat, h_used, beta_init=beta_hat).beta
+                ok[r] = True
+            except (ConvergenceError, SingularMatrixError):
+                pass
+            if progress is not None:
+                progress(r)
+    finally:
+        solver_log.setLevel(log_level)
     n_fail = int(reps - ok.sum())
     if n_fail > 0.05 * reps:
         raise ConvergenceError(

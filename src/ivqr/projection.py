@@ -41,35 +41,6 @@ def solve_nonsingular(M, B, message):
     return np.linalg.solve(M, B)
 
 
-def _weighted(A, w):
-    if w is None:
-        return np.asarray(A, dtype=float)
-    return np.asarray(A, dtype=float) * np.sqrt(np.asarray(w, dtype=float))[:, None]
-
-
-def least_squares(A, B, w=None):
-    """Weighted least-squares coefficients of B on A.
-
-    Minimizes sum_i w_i * ||B_i - A_i' C||^2 column by column, solved through
-    an orthogonal decomposition of the row-scaled matrix rather than the
-    normal equations.  Raises :class:`RankDeficientError` naming a dependent
-    column when the scaled A loses column rank (see :func:`check_rank`).
-    """
-    A = np.asarray(A, dtype=float)
-    if A.ndim == 1:
-        A = A[:, None]
-    B = np.asarray(B, dtype=float)
-    b_was_1d = B.ndim == 1
-    if b_was_1d:
-        B = B[:, None]
-    if A.shape[0] != B.shape[0]:
-        raise ValueError(f"A has {A.shape[0]} rows but B has {B.shape[0]}")
-    aw = _weighted(A, w)
-    check_rank(aw, "design matrix")
-    C, _, _, _ = np.linalg.lstsq(aw, _weighted(B, w), rcond=None)
-    return C[:, 0] if b_was_1d else C
-
-
 def project_instruments(prob: EstimationProblem) -> np.ndarray:
     """Reduce q instruments to the (n, p) projected-instrument array.
 
@@ -78,13 +49,15 @@ def project_instruments(prob: EstimationProblem) -> np.ndarray:
     are the first-stage fitted values.  Raises :class:`RankDeficientError`
     when the weighted instruments lose column rank.
     """
-    Z, w = prob.Z, prob.w
-    zw = _weighted(Z, w)
+    Z = prob.Z
+    sw = np.sqrt(prob.w)[:, None]
+    zw = Z * sw
     check_rank(zw, "instrument matrix")
     if prob.q == prob.p:
         return Z
-    # least_squares(Z, X, w), without weighting and rank-checking Z a second time
-    coef, _, _, _ = np.linalg.lstsq(zw, _weighted(prob.X, w), rcond=None)
+    # least squares on the sqrt(w)-scaled rows, through an orthogonal
+    # decomposition rather than the normal equations
+    coef, _, _, _ = np.linalg.lstsq(zw, prob.X * sw, rcond=None)
     return Z @ coef
 
 

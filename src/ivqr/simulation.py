@@ -193,14 +193,6 @@ def brute_force_qr_oracle(y, X, tau: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class EstimatorSettings:
-    """How each Monte Carlo replication is estimated."""
-
-    bandwidth: Optional[float] = None  # None -> plug-in selection
-    level: float = 0.95
-
-
-@dataclass(frozen=True)
 class MonteCarloRow:
     """Aggregate results for one quantile level (arrays indexed by coefficient)."""
 
@@ -219,14 +211,17 @@ def monte_carlo(
     spec: DgpSpec,
     taus: Sequence[float],
     n_reps: int,
-    settings: EstimatorSettings = EstimatorSettings(),
+    bandwidth: Optional[float] = None,
+    level: float = 0.95,
 ) -> list[MonteCarloRow]:
     """Repeatedly generate and estimate; summarize bias, spread, and coverage.
 
     Replication r of the study redraws the dataset with a substream keyed by
     (spec.seed, r), runs the full estimation pipeline with analytic standard
     errors, and records the estimates and their confidence intervals.
-    Failed replications are counted and excluded from the summaries.
+    ``bandwidth`` and ``level`` are passed to :func:`fit` (``None`` selects
+    the plug-in bandwidth).  Failed replications are counted and excluded
+    from the summaries.
     """
     rows = []
     for tau in taus:
@@ -240,12 +235,7 @@ def monte_carlo(
             prob, true_beta_at = generate(rep_spec, tau=tau)
             truth = true_beta_at(tau)
             try:
-                res = fit(
-                    prob,
-                    bandwidth=settings.bandwidth,
-                    level=settings.level,
-                    reps=0,
-                )
+                res = fit(prob, bandwidth=bandwidth, level=level, reps=0)
             except EstimationError:
                 n_failed += 1
                 continue

@@ -17,10 +17,13 @@ Each Newton iterate forms the residual vector y - X beta once and shares it
 between the moment and the Jacobian; the moment is one matrix-vector product
 of clipped residuals, and the Jacobian sums over the rows inside the
 smoothing window only.
+
+Each accepted Newton step is logged at DEBUG on the ``ivqr.solver`` logger.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +36,8 @@ MAX_NEWTON_ITER = 200
 MAX_BACKTRACK = 30
 MAX_ESCALATIONS = 40
 ESCALATION_FACTOR = 1.5
+
+_LOG = logging.getLogger(__name__)
 
 
 @dataclass
@@ -103,7 +108,7 @@ def tol_residual(prob: EstimationProblem, zhat: np.ndarray, zw=None) -> float:
     return 1e-8 * (1.0 + np.max(np.abs(zw)))
 
 
-def _damped_newton(prob, zhat, beta0, h, tol, log, zw):
+def _damped_newton(prob, zhat, beta0, h, tol, zw):
     """Newton iteration at fixed bandwidth.
 
     Returns (beta, n_iterations, converged, final_inf_norm).  Fails (without
@@ -141,10 +146,10 @@ def _damped_newton(prob, zhat, beta0, h, tol, log, zw):
         if not accepted:
             return beta, it + 1, False, gn
         beta, g, v = cand, gc, vc
-        if log is not None:
-            log(
-                f"h={h:.8g} iter={it + 1} resid_inf={float(np.max(np.abs(g))):.3e} "
-                f"step={float(np.linalg.norm(lam * step)):.3e}"
+        if _LOG.isEnabledFor(logging.DEBUG):
+            _LOG.debug(
+                "h=%.8g iter=%d resid_inf=%.3e step=%.3e",
+                h, it + 1, float(np.max(np.abs(g))), float(np.linalg.norm(lam * step)),
             )
     gn = float(np.max(np.abs(g)))
     return beta, MAX_NEWTON_ITER, gn <= tol, gn
@@ -163,7 +168,6 @@ def solve_see(
     zhat: np.ndarray,
     h_request: float,
     beta_init=None,
-    log=None,
 ) -> SeeSolution:
     """Solve the smoothed estimating equations at (or as close as feasible to)
     the requested bandwidth.
@@ -206,7 +210,7 @@ def solve_see(
         nonlocal best_h, best_beta, iters_total, stages_total
         gn_final = np.inf
         for h_s in seq:
-            cand, nit, ok, gn = _damped_newton(prob, zhat, cur, h_s, tol, log, zw)
+            cand, nit, ok, gn = _damped_newton(prob, zhat, cur, h_s, tol, zw)
             iters_total += nit
             stages_total += 1
             if not ok:

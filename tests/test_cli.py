@@ -6,6 +6,7 @@ also exercises the installed console script through a subprocess.
 
 import csv
 import json
+import logging
 import re
 import subprocess
 import sys
@@ -16,7 +17,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ivqr.cli
+import ivqr.estimate
 from ivqr.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, CliConfig, ingest_csv, main
+from ivqr.exceptions import EstimationError
 from ivqr.model import build_problem
 
 
@@ -238,6 +241,40 @@ def test_log_iterations_goes_to_stderr(demo_csv, capsys):
     assert lines
     pat = re.compile(r"^h=[0-9.e+-]+ iter=\d+ resid_inf=")
     assert all(pat.match(l) for l in lines)
+
+
+def test_log_iterations_leave_out_bootstrap_draws(demo_csv, capsys):
+    args = ["--data", demo_csv, "--y", "wage", "--endog", "educ", "--iv", "dist",
+            "--quantile", "0.5", "--log-iterations"]
+    _, _, err_analytic = run_cli(args, capsys)
+    code, _, err_boot = run_cli(args + ["--reps", "20"], capsys)
+    assert code == EXIT_OK
+    assert err_boot == err_analytic
+
+
+def test_numeric_failure_keeps_iteration_lines_and_detaches_logger(
+    demo_csv, capsys, monkeypatch
+):
+    def fail(prob, beta):
+        raise EstimationError("covariance failed on purpose")
+
+    monkeypatch.setattr(ivqr.estimate, "analytic_covariance", fail)
+    args = ["--data", demo_csv, "--y", "wage", "--endog", "educ", "--iv", "dist",
+            "--quantile", "0.5"]
+    code, _, err = run_cli(args + ["--log-iterations"], capsys)
+    assert code == EXIT_NUMERIC
+    lines = err.splitlines()
+    assert len(lines) > 1
+    assert lines[-1] == "error: covariance failed on purpose"
+    pat = re.compile(r"^h=[0-9.e+-]+ iter=\d+ resid_inf=")
+    assert all(pat.match(l) for l in lines[:-1])
+    solver_log = logging.getLogger("ivqr.solver")
+    assert solver_log.handlers == []
+    assert solver_log.level == logging.NOTSET
+    monkeypatch.undo()
+    code, _, err = run_cli(args, capsys)
+    assert code == EXIT_OK
+    assert err == ""
 
 
 def test_initial_values_accepted(demo_csv, capsys):

@@ -154,8 +154,8 @@ def test_bootstrap_replication_prefix_stable():
         got = []
         orig = inference_mod.solve_see
 
-        def spy(p, z, h, beta_init=None, log=None):
-            sol = orig(p, z, h, beta_init=beta_init, log=log)
+        def spy(p, z, h, beta_init=None):
+            sol = orig(p, z, h, beta_init=beta_init)
             got.append(sol.beta)
             return sol
 

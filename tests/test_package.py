@@ -1,11 +1,16 @@
 """Tests for the top-level ``ivqr`` namespace."""
 
+import importlib
+import inspect
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import ivqr
+from ivqr.solver import solve_see
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_every_exported_name_resolves():
@@ -25,3 +30,18 @@ def test_import_does_not_load_scipy_stats():
         check=True,
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_benchmark_tracer_targets_resolve(monkeypatch):
+    # perfbench/tracer.py rebinds these module attributes and reads the
+    # request bandwidth and warm start of solve_see from its positional args
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    tracer = importlib.import_module("tracer")
+    missing = [
+        f"{mod}.{attr}"
+        for mod, attrs in tracer.TARGETS.items()
+        for attr in attrs
+        if not callable(getattr(importlib.import_module(mod), attr, None))
+    ]
+    assert missing == []
+    assert list(inspect.signature(solve_see).parameters)[2:4] == ["h_request", "beta_init"]

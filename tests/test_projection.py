@@ -8,7 +8,6 @@ from ivqr.model import EstimationProblem, build_problem
 from ivqr.projection import (
     check_rank,
     iv_estimate,
-    least_squares,
     project_instruments,
     solve_nonsingular,
 )
@@ -25,44 +24,15 @@ def make_problem(n=200, seed=5, extra_instruments=1, weights=None):
     )
 
 
-# ------------------------------------------------------------ least squares
+# -------------------------------------------------------------- rank guard
 
 
-def test_least_squares_matches_normal_equations():
-    rng = np.random.default_rng(11)
-    A = rng.normal(size=(80, 4))
-    B = rng.normal(size=(80, 2))
-    w = rng.uniform(0.2, 3.0, size=80)
-    got = least_squares(A, B, w)
-    # independent route: solve the weighted normal equations directly
-    Aw = A * w[:, None]
-    expected = np.linalg.solve(A.T @ Aw, Aw.T @ B)
-    np.testing.assert_allclose(got, expected, rtol=1e-9)
-
-
-def test_least_squares_orthonormal_design_is_projection():
-    rng = np.random.default_rng(2)
-    Q, _ = np.linalg.qr(rng.normal(size=(50, 3)))
-    B = rng.normal(size=50)
-    got = least_squares(Q, B)
-    np.testing.assert_allclose(got, Q.T @ B, rtol=1e-11)
-
-
-def test_least_squares_1d_shapes():
-    rng = np.random.default_rng(4)
-    a = rng.normal(size=30)
-    b = 2.0 * a + rng.normal(size=30) * 0.01
-    c = least_squares(a, b)
-    assert c.shape == (1,)
-    assert c[0] == pytest.approx(2.0, abs=0.01)
-
-
-def test_least_squares_names_dependent_column():
+def test_check_rank_names_dependent_column():
     rng = np.random.default_rng(7)
     a = rng.normal(size=40)
     A = np.column_stack([a, 2 * a, rng.normal(size=40)])
-    with pytest.raises(RankDeficientError, match="column [01]"):
-        least_squares(A, rng.normal(size=40))
+    with pytest.raises(RankDeficientError, match="design matrix .*column [01]"):
+        check_rank(A, "design matrix")
     # both guards cut at a singular-value ratio of 1e-10: Q diag(s) and
     # R diag(s) R' (Q orthonormal columns, R orthogonal) have singular values s
     Q, _ = np.linalg.qr(rng.normal(size=(40, 3)))
@@ -81,11 +51,6 @@ def test_least_squares_names_dependent_column():
             np.testing.assert_allclose(M @ solve_nonsingular(M, b, "test message"), b, atol=1e-6)
 
 
-def test_least_squares_row_mismatch():
-    with pytest.raises(ValueError, match="rows"):
-        least_squares(np.ones((5, 1)), np.ones(6))
-
-
 # -------------------------------------------------------------- projection
 
 
@@ -93,6 +58,27 @@ def test_projection_passthrough_when_exactly_identified():
     prob = make_problem(extra_instruments=0)
     zhat = project_instruments(prob)
     assert zhat is prob.Z
+
+
+def test_weighted_projection_matches_normal_equations():
+    w = np.random.default_rng(11).uniform(0.2, 3.0, size=80)
+    prob = make_problem(n=80, seed=11, extra_instruments=2, weights=w)
+    zhat = project_instruments(prob)
+    # independent route: first-stage coefficients from the weighted normal equations
+    Z = prob.Z
+    Zw = Z * w[:, None]
+    expected = Z @ np.linalg.solve(Z.T @ Zw, Zw.T @ prob.X)
+    np.testing.assert_allclose(zhat, expected, rtol=1e-9)
+
+
+def test_projection_onto_orthonormal_instruments():
+    rng = np.random.default_rng(2)
+    Q, _ = np.linalg.qr(rng.normal(size=(50, 3)))
+    X = rng.normal(size=(50, 2))
+    prob = EstimationProblem(
+        y=rng.normal(size=50), X=X, Z=Q, w=np.ones(50), tau=0.5, endog_idx=(0, 1)
+    )
+    np.testing.assert_allclose(project_instruments(prob), Q @ (Q.T @ X), rtol=1e-11)
 
 
 def test_projection_columns_are_first_stage_fits():
@@ -127,8 +113,10 @@ def test_overidentified_projection_checks_weighted_instruments_once(monkeypatch)
     monkeypatch.setattr(projection, "check_rank", counting_check_rank)
     zhat = project_instruments(prob)
     assert labels == ["instrument matrix"]
-    # bit-identical to the first-stage fit through least_squares
-    np.testing.assert_array_equal(zhat, prob.Z @ least_squares(prob.Z, prob.X, prob.w))
+    # bit-identical to a least-squares fit of X on Z with sqrt(w)-scaled rows
+    sw = np.sqrt(prob.w)[:, None]
+    coef = np.linalg.lstsq(prob.Z * sw, prob.X * sw, rcond=None)[0]
+    np.testing.assert_array_equal(zhat, prob.Z @ coef)
 
 
 def test_projection_detects_collinear_instruments():
@@ -139,7 +127,7 @@ def test_projection_detects_collinear_instruments():
     y = d + rng.normal(size=n)
     Z = np.column_stack([z1, 3.0 * z1, np.ones(n)])
     X = np.column_stack([d, np.ones(n)])
-    with pytest.raises(RankDeficientError, match="instrument matrix"):
+    with pytest.raises(RankDeficientError, match="instrument matrix .*column [01]"):
         project_instruments(
             EstimationProblem(y=y, X=X, Z=Z, w=np.ones(n), tau=0.5, endog_idx=(0,))
         )

@@ -11,7 +11,6 @@ from ivqr.exceptions import EstimationError
 from ivqr.model import unsmoothed_moments
 from ivqr.simulation import (
     DgpSpec,
-    EstimatorSettings,
     LOCATION_SHIFT,
     RANDOM_COEFFICIENT,
     brute_force_qr_oracle,
@@ -220,7 +219,7 @@ def test_brute_force_skips_singular_subsets():
 
 def test_monte_carlo_smoke_and_determinism(tmp_path):
     spec = reference_dgp(n=150, seed=5)
-    rows = monte_carlo(spec, taus=[0.5], n_reps=8, settings=EstimatorSettings())
+    rows = monte_carlo(spec, taus=[0.5], n_reps=8)
     assert len(rows) == 1
     row = rows[0]
     assert row.tau == 0.5
@@ -232,7 +231,7 @@ def test_monte_carlo_smoke_and_determinism(tmp_path):
     assert np.all((0.0 <= row.coverage) & (row.coverage <= 1.0))
     assert np.all(row.rmse >= np.abs(row.mean_bias) - 1e-12)
 
-    rows2 = monte_carlo(spec, taus=[0.5], n_reps=8, settings=EstimatorSettings())
+    rows2 = monte_carlo(spec, taus=[0.5], n_reps=8)
     np.testing.assert_array_equal(rows2[0].mean_bias, row.mean_bias)
     np.testing.assert_array_equal(rows2[0].sd, row.sd)
 
@@ -249,8 +248,6 @@ def test_monte_carlo_smoke_and_determinism(tmp_path):
 
 def test_monte_carlo_fixed_bandwidth_setting():
     spec = reference_dgp(n=120, seed=6)
-    rows = monte_carlo(
-        spec, taus=[0.25], n_reps=4, settings=EstimatorSettings(bandwidth=0.8)
-    )
+    rows = monte_carlo(spec, taus=[0.25], n_reps=4, bandwidth=0.8)
     assert rows[0].n_reps == 4
     assert np.all(np.isfinite(rows[0].rmse))

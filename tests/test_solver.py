@@ -9,6 +9,7 @@ Oracles used here:
     against which the fused residual and the window-only Jacobian are checked.
 """
 
+import logging
 import math
 import re
 
@@ -329,7 +330,7 @@ def test_convergence_error_when_nothing_converges(monkeypatch):
     prob = make_problem(n=30, seed=94)
     zhat = project_instruments(prob)
 
-    def always_fail(prob_, zhat_, beta0, h, tol, log=None, zw=None):
+    def always_fail(prob_, zhat_, beta0, h, tol, zw=None):
         return np.asarray(beta0, dtype=float), 1, False, np.inf
 
     monkeypatch.setattr(solver_mod, "_damped_newton", always_fail)
@@ -449,11 +450,11 @@ def test_failed_first_rung_falls_back_to_full_ladder(monkeypatch):
     real = solver_mod._damped_newton
     seen = []
 
-    def fail_first_rung(prob_, zhat_, beta0, h, tol, log=None, zw=None):
+    def fail_first_rung(prob_, zhat_, beta0, h, tol, zw=None):
         seen.append(h)
         if h == h_top:
             return np.asarray(beta0, dtype=float), 1, False, np.inf
-        return real(prob_, zhat_, beta0, h, tol, log, zw)
+        return real(prob_, zhat_, beta0, h, tol, zw)
 
     monkeypatch.setattr(solver_mod, "_damped_newton", fail_first_rung)
     sol = solve_see(prob, zhat, 0.4)
@@ -469,11 +470,12 @@ def test_failed_first_rung_falls_back_to_full_ladder(monkeypatch):
 # ------------------------------------------------------------------- trace
 
 
-def test_log_sink_receives_iteration_lines():
+def test_log_sink_receives_iteration_lines(caplog):
     prob = make_problem(seed=95)
     zhat = project_instruments(prob)
-    lines = []
-    solve_see(prob, zhat, 0.5, log=lines.append)
+    caplog.set_level(logging.DEBUG, logger="ivqr.solver")
+    solve_see(prob, zhat, 0.5)
+    lines = [r.getMessage() for r in caplog.records if r.name == "ivqr.solver"]
     assert lines, "expected at least one trace line"
     pat = re.compile(r"^h=[0-9.e+-]+ iter=\d+ resid_inf=[0-9.e+-]+ step=[0-9.e+-]+$")
     assert all(pat.match(s) for s in lines)
