@@ -150,7 +150,6 @@ def ingest_csv(config: CliConfig):
             table = _parse_cells(reader, cols, usecols, config.data)
     if table.shape[0] == 0:
         raise ValueError(f"{config.data} has a header but no observations")
-    n_dropped = int(np.isnan(table).any(axis=1).sum())
     # the table's columns follow cols: y, endogenous, exogenous, instruments, weight
     block = lambda names, start: table[:, start:start + len(names)] if names else None
     n_endog, n_exog = len(config.endog), len(config.exog)
@@ -166,7 +165,7 @@ def ingest_csv(config: CliConfig):
     names = list(config.endog) + list(config.exog)
     if not config.noconstant:
         names.append("_cons")
-    return prob, names, n_dropped
+    return prob, names, table.shape[0] - prob.n
 
 
 def _parse_cells(reader, cols, usecols, path):

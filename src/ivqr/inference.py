@@ -80,10 +80,11 @@ def bayesian_bootstrap(
     the base weights by the normalized draws (the per-replication weights
     keep the same total), and re-solves the smoothed equations at the same
     bandwidth, warm-started from the point estimate.  A replication whose
-    warm solve fails falls back to the full homotopy with bandwidth
-    escalation; more than 5 percent outright failures abort.  The covariance
-    is the sample covariance of the replication estimates (denominator
-    reps - 1).
+    warm solve fails falls back to the full homotopy; it counts as failed
+    if that raises or escalates away from ``h_used``, since its root then
+    solves another equation.  More than 5 percent failures abort.  The
+    covariance is the sample covariance of the kept estimates (denominator
+    kept - 1).
 
     Results are identical for any execution order because each substream
     depends only on (seed, r).  ``progress`` is called once per finished
@@ -94,6 +95,8 @@ def bayesian_bootstrap(
     reps = int(reps)
     if reps < 2:
         raise ValueError(f"bootstrap needs at least 2 replications, got {reps}")
+    if not h_used > 0:
+        raise ValueError(f"h_used must be the point estimate's positive bandwidth, got {h_used}")
     beta_hat = np.asarray(beta_hat, dtype=float).ravel()
     n = prob.n
     betas = np.empty((reps, prob.p))
@@ -107,8 +110,9 @@ def bayesian_bootstrap(
             xi = rng.standard_exponential(n)
             w_r = prob.w * (xi / xi.mean())
             try:
-                betas[r] = solve_see(prob.reweighted(w_r), zhat, h_used, beta_init=beta_hat).beta
-                ok[r] = True
+                sol = solve_see(prob.reweighted(w_r), zhat, h_used, beta_init=beta_hat)
+                betas[r] = sol.beta
+                ok[r] = sol.h_used == h_used
             except (ConvergenceError, SingularMatrixError):
                 pass
             if progress is not None:

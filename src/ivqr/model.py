@@ -199,11 +199,14 @@ def build_problem(
         if w.shape[0] != n_raw:
             raise ValueError(f"weights have {w.shape[0]} rows, expected {n_raw}")
 
-    stacked = np.column_stack([y, exog, endog, instr, w])
-    if np.any(np.isinf(stacked)):
+    blocks = (y, exog, endog, instr, w)
+    if any(np.isinf(b).any() for b in blocks):
         raise ValueError("inputs contain infinite values; only NaN marks a missing cell")
-    keep = ~np.isnan(stacked).any(axis=1)
-    y, exog, endog, instr, w = y[keep], exog[keep], endog[keep], instr[keep], w[keep]
+    keep = ~(np.isnan(y) | np.isnan(w))
+    for b in (exog, endog, instr):
+        keep &= ~np.isnan(b).any(axis=1)
+    if not keep.all():
+        y, exog, endog, instr, w = (b[keep] for b in blocks)
     if y.shape[0] == 0:
         raise ValueError("no observations remain after dropping rows with missing values")
 

@@ -134,16 +134,14 @@ def _damped_newton(prob, zhat, beta0, h, tol, zw):
             return beta, it, False, gn
         g2 = float(np.linalg.norm(g))
         lam = 1.0
-        accepted = False
         for _ in range(MAX_BACKTRACK + 1):
             cand = beta + lam * step
             vc = residuals(prob, cand)
             gc = see_residual(prob, zhat, cand, h, v=vc, zw=zw)
             if np.all(np.isfinite(gc)) and float(np.linalg.norm(gc)) < g2:
-                accepted = True
                 break
             lam *= 0.5
-        if not accepted:
+        else:
             return beta, it + 1, False, gn
         beta, g, v = cand, gc, vc
         if _LOG.isEnabledFor(logging.DEBUG):
@@ -199,43 +197,30 @@ def solve_see(
     zw = instrument_means(prob, zhat)
     tol = tol_residual(prob, zhat, zw)
     target0 = h_request if h_request > 0 else float(np.finfo(float).tiny)
-
-    best_h = None
-    best_beta = None
-    iters_total = 0
-    stages_total = 0
+    diag = SolverDiagnostics()
+    best = None  # (h, beta, norm) of the smallest converged stage
 
     def descend(cur, seq):
-        """Run the stages in ``seq`` from ``cur``; (beta, final norm) or None."""
-        nonlocal best_h, best_beta, iters_total, stages_total
-        gn_final = np.inf
+        """Run the stages in ``seq`` from ``cur``; the last beta, or None if one fails."""
+        nonlocal best
         for h_s in seq:
-            cand, nit, ok, gn = _damped_newton(prob, zhat, cur, h_s, tol, zw)
-            iters_total += nit
-            stages_total += 1
+            cur, nit, ok, gn = _damped_newton(prob, zhat, cur, h_s, tol, zw)
+            diag.iterations += nit
+            diag.homotopy_stages += 1
             if not ok:
                 return None
-            cur, gn_final = cand, gn
-            if best_h is None or h_s < best_h:
-                best_h, best_beta = h_s, cur
-        return cur, gn_final
-
-    def diag(gn, escalations, converged=True):
-        return SolverDiagnostics(
-            iterations=iters_total,
-            final_residual_inf_norm=gn,
-            bandwidth_escalations=escalations,
-            converged=converged,
-            homotopy_stages=stages_total,
-        )
+            diag.final_residual_inf_norm = gn
+            if best is None or h_s < best[0]:
+                best = (h_s, cur, gn)
+        return cur
 
     if beta_init is not None:
         warm = np.asarray(beta_init, dtype=float).ravel()
         if warm.shape[0] != prob.p:
             raise ValueError(f"beta_init has length {warm.shape[0]}, expected {prob.p}")
-        done = descend(warm, [target0])
-        if done is not None:
-            return SeeSolution(beta=np.array(done[0]), h_used=target0, diag=diag(done[1], 0))
+        beta = descend(warm, [target0])
+        if beta is not None:
+            return _converged(beta, target0, diag)
 
     start0 = iv_estimate(prob, zhat)
     resid0 = residuals(prob, start0)
@@ -243,28 +228,34 @@ def solve_see(
     h_top = min(h_big, 2.0 * float(np.std(resid0)))
 
     for k in range(MAX_ESCALATIONS + 1):
+        diag.bandwidth_escalations = k
         target = target0 * ESCALATION_FACTOR**k
-        if best_h is None:
-            done = descend(start0, _ladder(h_top, target))
-            if done is None and best_h is None and max(h_top, target) < h_big:
+        if best is None:
+            beta = descend(start0, _ladder(h_top, target))
+            if beta is None and best is None and max(h_top, target) < h_big:
                 # the data-driven first stage failed: climb the full ladder
                 h_top = h_big
-                done = descend(start0, _ladder(h_big, target))
-        elif best_h <= target:
-            done = descend(best_beta, [target])
+                beta = descend(start0, _ladder(h_big, target))
+        elif best[0] <= target:
+            beta = descend(best[1], [target])
         else:
-            done = descend(best_beta, _ladder(best_h, target)[1:])
-        if done is not None:
-            return SeeSolution(beta=np.array(done[0]), h_used=float(target), diag=diag(done[1], k))
+            beta = descend(best[1], _ladder(best[0], target)[1:])
+        if beta is not None:
+            return _converged(beta, target, diag)
 
-    if best_h is not None:
-        gn_best = float(np.max(np.abs(see_residual(prob, zhat, best_beta, best_h, zw=zw))))
-        return SeeSolution(
-            beta=np.array(best_beta), h_used=float(best_h), diag=diag(gn_best, MAX_ESCALATIONS)
-        )
+    if best is not None:
+        h_best, beta_best, diag.final_residual_inf_norm = best
+        return _converged(beta_best, h_best, diag)
 
+    diag.final_residual_inf_norm = np.inf
     raise ConvergenceError(
         f"smoothed estimating equations did not converge at any bandwidth within "
         f"{MAX_ESCALATIONS} escalations of the request h={h_request:g}",
-        diagnostics=diag(np.inf, MAX_ESCALATIONS, converged=False),
+        diagnostics=diag,
     )
+
+
+def _converged(beta, h_used, diag: SolverDiagnostics) -> SeeSolution:
+    """The solution ``beta`` at ``h_used``, with ``diag`` marked converged."""
+    diag.converged = True
+    return SeeSolution(beta=np.array(beta), h_used=float(h_used), diag=diag)

@@ -5,6 +5,9 @@ under iid Gaussian errors: tau(1-tau) / phi(q)^2 * E[xx']^{-1} / n.  With
 standard-normal regressors that is a fully closed form.
 """
 
+import itertools
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.stats import norm
@@ -14,7 +17,7 @@ from ivqr.exceptions import ConvergenceError, EstimationError
 from ivqr.inference import CovarianceEstimate, analytic_covariance, bayesian_bootstrap
 from ivqr.model import EstimationProblem, build_problem
 from ivqr.projection import project_instruments
-from ivqr.solver import solve_see
+from ivqr.solver import SeeSolution, solve_see
 
 
 def exogenous_problem(n, seed=0, tau=0.5):
@@ -200,6 +203,17 @@ def test_bootstrap_rejects_too_few_reps():
             bayesian_bootstrap(prob, zhat, 0.5, beta, reps=bad, seed=1)
 
 
+def test_bootstrap_rejects_a_bandwidth_no_draw_can_match():
+    # solve_see reads h = 0 as "smallest feasible", so no draw would come
+    # back at h_used = 0 exactly and every one would count as failed
+    prob = iv_problem(100, seed=10)
+    zhat = project_instruments(prob)
+    beta = solve_see(prob, zhat, 0.5).beta
+    for bad in (0.0, -0.5, np.nan):
+        with pytest.raises(ValueError, match="h_used"):
+            bayesian_bootstrap(prob, zhat, bad, beta, reps=10, seed=1)
+
+
 def test_bootstrap_progress_callback():
     prob = iv_problem(100, seed=11)
     zhat = project_instruments(prob)
@@ -219,6 +233,46 @@ def test_bootstrap_aborts_when_replications_fail(monkeypatch):
 
     monkeypatch.setattr(inference_mod, "solve_see", always_raise)
     with pytest.raises(ConvergenceError, match="replications failed"):
+        bayesian_bootstrap(prob, zhat, 0.5, beta, reps=10, seed=3)
+
+
+def escalate_draws(monkeypatch, chosen):
+    """Make the bootstrap's solves for the draws in ``chosen`` come back
+    escalated, at 1.5 times the requested bandwidth with a shifted root;
+    returns the list the other draws' betas are appended to."""
+    real = inference_mod.solve_see
+    kept = []
+    draw = itertools.count()
+
+    def solve(p, z, h, beta_init=None):
+        sol = real(p, z, h, beta_init=beta_init)
+        if next(draw) in chosen:
+            diag = replace(sol.diag, bandwidth_escalations=1)
+            return SeeSolution(beta=sol.beta + 1.0, h_used=1.5 * h, diag=diag)
+        kept.append(sol.beta)
+        return sol
+
+    monkeypatch.setattr(inference_mod, "solve_see", solve)
+    return kept
+
+
+def test_bootstrap_drops_draws_solved_at_another_bandwidth(monkeypatch):
+    prob = iv_problem(120, seed=14)
+    zhat = project_instruments(prob)
+    beta = solve_see(prob, zhat, 0.5).beta
+    kept = escalate_draws(monkeypatch, {17})
+    est = bayesian_bootstrap(prob, zhat, 0.5, beta, reps=40, seed=6)
+    assert est.reps_used == 39
+    want = np.cov(np.array(kept), rowvar=False, ddof=1)
+    np.testing.assert_array_equal(est.cov, 0.5 * (want + want.T))
+
+
+def test_bootstrap_counts_escalated_draws_against_failure_budget(monkeypatch):
+    prob = iv_problem(100, seed=15)
+    zhat = project_instruments(prob)
+    beta = solve_see(prob, zhat, 0.5).beta
+    escalate_draws(monkeypatch, {2, 5, 9})
+    with pytest.raises(ConvergenceError, match="3 of 10 bootstrap replications failed"):
         bayesian_bootstrap(prob, zhat, 0.5, beta, reps=10, seed=3)
 
 

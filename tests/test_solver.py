@@ -326,13 +326,13 @@ def test_bad_bandwidth_request_rejected(bad):
         solve_see(prob, zhat, bad)
 
 
+def always_fail(prob_, zhat_, beta0, h, tol, zw=None):
+    return np.asarray(beta0, dtype=float), 1, False, np.inf
+
+
 def test_convergence_error_when_nothing_converges(monkeypatch):
     prob = make_problem(n=30, seed=94)
     zhat = project_instruments(prob)
-
-    def always_fail(prob_, zhat_, beta0, h, tol, zw=None):
-        return np.asarray(beta0, dtype=float), 1, False, np.inf
-
     monkeypatch.setattr(solver_mod, "_damped_newton", always_fail)
     with pytest.raises(ConvergenceError) as exc:
         solve_see(prob, zhat, 0.5)
@@ -440,6 +440,21 @@ def test_warm_solve_skips_iv_start(monkeypatch):
     assert calls == []
 
 
+def failing_first_rung(prob, zhat, seen):
+    """A stand-in for ``_damped_newton`` that fails the data-driven first
+    rung 2 sd(r0) and records every bandwidth it is asked to solve at."""
+    h_top = 2.0 * float(np.std(prob.y - prob.X @ iv_estimate(prob, zhat)))
+    real = solver_mod._damped_newton
+
+    def fail_first_rung(prob_, zhat_, beta0, h, tol, zw=None):
+        seen.append(h)
+        if h == h_top:
+            return always_fail(prob_, zhat_, beta0, h, tol, zw)
+        return real(prob_, zhat_, beta0, h, tol, zw)
+
+    return fail_first_rung
+
+
 def test_failed_first_rung_falls_back_to_full_ladder(monkeypatch):
     prob = make_problem(n=200, seed=98, tau=0.3)
     zhat = project_instruments(prob)
@@ -447,16 +462,8 @@ def test_failed_first_rung_falls_back_to_full_ladder(monkeypatch):
     h_big = float(np.max(np.abs(resid0))) + 1.0
     h_top = 2.0 * float(np.std(resid0))
     assert h_top < h_big, "bad test instance"
-    real = solver_mod._damped_newton
     seen = []
-
-    def fail_first_rung(prob_, zhat_, beta0, h, tol, zw=None):
-        seen.append(h)
-        if h == h_top:
-            return np.asarray(beta0, dtype=float), 1, False, np.inf
-        return real(prob_, zhat_, beta0, h, tol, zw)
-
-    monkeypatch.setattr(solver_mod, "_damped_newton", fail_first_rung)
+    monkeypatch.setattr(solver_mod, "_damped_newton", failing_first_rung(prob, zhat, seen))
     sol = solve_see(prob, zhat, 0.4)
     assert sol.diag.converged
     assert sol.h_used == 0.4
@@ -465,6 +472,58 @@ def test_failed_first_rung_falls_back_to_full_ladder(monkeypatch):
     assert h_top not in seen[1:]
     direct = solve_see(prob, zhat, 0.4)
     np.testing.assert_allclose(sol.beta, direct.beta, atol=1e-7)
+
+
+@pytest.mark.parametrize(
+    "path", ["warm", "cold", "first_rung_fallback", "escalated", "exhausted", "error"]
+)
+def test_diagnostics_account_for_every_stage(monkeypatch, path):
+    # every exit reports the Newton iterations and stages it actually ran,
+    # the final norm of the stage whose beta it returns, and its escalations
+    h, beta_init, inner = 0.5, None, solver_mod._damped_newton
+    if path in ("escalated", "exhausted"):
+        prob, h = tiny_bandwidth_problem(90 if path == "escalated" else 8), 1e-12
+    else:
+        prob = make_problem(n=200, seed=98, tau=0.3)
+    zhat = project_instruments(prob)
+    if path == "warm":
+        beta_init = solve_see(prob, zhat, h).beta
+    elif path == "first_rung_fallback":
+        inner = failing_first_rung(prob, zhat, [])
+    elif path == "error":
+        inner = always_fail
+    calls = []
+
+    def spy(prob_, zhat_, beta0, h_s, tol, zw=None):
+        out = inner(prob_, zhat_, beta0, h_s, tol, zw)
+        calls.append(out)
+        return out
+
+    monkeypatch.setattr(solver_mod, "_damped_newton", spy)
+    if path == "error":
+        with pytest.raises(ConvergenceError) as exc:
+            solve_see(prob, zhat, h, beta_init)
+        diag = exc.value.diagnostics
+        assert not diag.converged
+        assert diag.final_residual_inf_norm == np.inf
+    else:
+        sol = solve_see(prob, zhat, h, beta_init)
+        diag = sol.diag
+        assert diag.converged
+        beta_s, _, _, gn_s = [c for c in calls if c[2]][-1]
+        assert np.array_equal(sol.beta, beta_s)
+        assert diag.final_residual_inf_norm == gn_s
+        assert gn_s == np.max(np.abs(see_residual(prob, zhat, sol.beta, sol.h_used)))
+    assert diag.iterations == sum(c[1] for c in calls)
+    assert diag.homotopy_stages == len(calls)
+    if path in ("exhausted", "error"):
+        assert diag.bandwidth_escalations == MAX_ESCALATIONS
+    elif path == "escalated":
+        assert 1 <= diag.bandwidth_escalations < MAX_ESCALATIONS
+        assert sol.h_used == h * solver_mod.ESCALATION_FACTOR**diag.bandwidth_escalations
+    else:
+        assert diag.bandwidth_escalations == 0
+        assert sol.h_used == h
 
 
 # ------------------------------------------------------------------- trace
