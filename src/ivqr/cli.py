@@ -8,8 +8,6 @@ import json
 import logging
 import sys
 import warnings
-from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 from scipy.special import ndtr
@@ -21,52 +19,6 @@ from ivqr.model import build_problem
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
-
-
-@dataclass
-class CliConfig:
-    data: str
-    y: str
-    endog: list[str]
-    iv: list[str]
-    quantile: float
-    exog: list[str] = field(default_factory=list)
-    weight: Optional[str] = None
-    bandwidth: Optional[float] = None
-    level: float = 95.0
-    reps: int = 0
-    seed: int = DEFAULT_SEED
-    noconstant: bool = False
-    nodots: bool = False
-    log_iterations: bool = False
-    initial: Optional[list[float]] = None
-    json_path: Optional[str] = None
-
-    def __post_init__(self):
-        if not self.endog or not self.iv:
-            raise ValueError(
-                "at least one endogenous regressor and one excluded instrument are "
-                "required (--endog and --iv)"
-            )
-        if not 0.0 < self.level < 100.0:
-            raise ValueError(f"--level must lie strictly between 0 and 100, got {self.level}")
-        if self.reps < 0:
-            raise ValueError("--reps cannot be negative")
-        if self.bandwidth is not None and (not np.isfinite(self.bandwidth) or self.bandwidth < 0):
-            raise ValueError("--bandwidth must be a finite nonnegative number")
-        overlap = set(self.exog) & set(self.endog)
-        if overlap:
-            raise ValueError(f"columns listed as both exogenous and endogenous: {sorted(overlap)}")
-        bad_iv = set(self.iv) & set(self.endog)
-        if bad_iv:
-            raise ValueError(
-                f"columns listed as both endogenous and instrument: {sorted(bad_iv)}"
-            )
-        # exogenous regressors instrument themselves, so listing one under
-        # --iv as well is redundant but harmless
-        self.iv = [c for c in self.iv if c not in set(self.exog)]
-        if not self.iv:
-            raise ValueError("every instrument duplicates an exogenous regressor")
 
 
 def _comma_list(text: str) -> list[str]:
@@ -81,7 +33,8 @@ def _comma_floats(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"expected a comma-separated list of numbers: {exc}")
 
 
-def parse_args(argv) -> CliConfig:
+def parse_args(argv) -> argparse.Namespace:
+    """Parse and check the command line; a conflicting combination raises ValueError."""
     parser = argparse.ArgumentParser(
         prog="ivqr",
         description="Instrumental-variables quantile regression via smoothed estimating equations.",
@@ -108,11 +61,36 @@ def parse_args(argv) -> CliConfig:
                         help="comma-separated starting values for the coefficients")
     parser.add_argument("--json", dest="json_path", default=None,
                         help="write results as JSON to this path")
-    ns = parser.parse_args(argv)
-    return CliConfig(**vars(ns))
+    args = parser.parse_args(argv)
+    if not args.endog or not args.iv:
+        raise ValueError(
+            "at least one endogenous regressor and one excluded instrument are "
+            "required (--endog and --iv)"
+        )
+    if not 0.0 < args.level < 100.0:
+        raise ValueError(f"--level must lie strictly between 0 and 100, got {args.level}")
+    if args.reps < 0:
+        raise ValueError("--reps cannot be negative")
+    if args.bandwidth is not None and (not np.isfinite(args.bandwidth) or args.bandwidth < 0):
+        raise ValueError("--bandwidth must be a finite nonnegative number")
+    for flag in ("exog", "endog", "iv"):
+        if args.y in getattr(args, flag):
+            raise ValueError(f"the --y column {args.y!r} is also listed under --{flag}")
+    overlap = set(args.exog) & set(args.endog)
+    if overlap:
+        raise ValueError(f"columns listed as both exogenous and endogenous: {sorted(overlap)}")
+    bad_iv = set(args.iv) & set(args.endog)
+    if bad_iv:
+        raise ValueError(f"columns listed as both endogenous and instrument: {sorted(bad_iv)}")
+    # exogenous regressors instrument themselves, so listing one under
+    # --iv as well is redundant but harmless
+    args.iv = [c for c in args.iv if c not in set(args.exog)]
+    if not args.iv:
+        raise ValueError("every instrument duplicates an exogenous regressor")
+    return args
 
 
-def ingest_csv(config: CliConfig):
+def ingest_csv(config: argparse.Namespace):
     """Read the referenced columns; empty cells mark missing values.
 
     Returns (problem, coefficient names, number of dropped rows).  Rows with
@@ -230,25 +208,26 @@ def render_table(result, tau, names, out):
         f"{f'[{level_pct:g}% conf. int.]':>26}\n"
     )
     out.write("-" * (name_w + 68) + "\n")
+    se, ci = result.se, result.ci
     for j, name in enumerate(names):
         b = result.beta[j]
-        s = result.se[j]
+        s = se[j]
         z = b / s if s > 0 else np.inf * np.sign(b)
         pval = 2.0 * (1.0 - ndtr(abs(z)))
         out.write(
             f"{name:<{name_w}}{b:>12.6g}{s:>12.6g}{z:>9.2f}{pval:>9.3f}"
-            f"{result.ci[j, 0]:>13.6g}{result.ci[j, 1]:>13.6g}\n"
+            f"{ci[j, 0]:>13.6g}{ci[j, 1]:>13.6g}\n"
         )
 
 
-def results_json(result, tau, names, config: CliConfig) -> dict:
+def results_json(result, tau, names, config: argparse.Namespace) -> dict:
     """JSON document mirroring the stored results (full float precision)."""
     bw = result.bandwidth
     return {
         "b": [float(b) for b in result.beta],
         "V": [[float(v) for v in row] for row in result.cov],
         "se": [float(s) for s in result.se],
-        "ci": [[float(result.ci[j, 0]), float(result.ci[j, 1])] for j in range(len(names))],
+        "ci": [[float(lo), float(hi)] for lo, hi in result.ci],
         "names": names,
         "bwidth": float(bw.h_used),
         "bwidth_req": float(bw.h_requested),
@@ -262,7 +241,7 @@ def results_json(result, tau, names, config: CliConfig) -> dict:
     }
 
 
-def run_estimation(config: CliConfig, out=None, err=None):
+def run_estimation(config: argparse.Namespace, out=None, err=None):
     """Full pipeline: ingest, estimate, render, optionally dump JSON."""
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err

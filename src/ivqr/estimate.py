@@ -51,7 +51,7 @@ def fit(
         cov_est = bayesian_bootstrap(
             prob, zhat, report.h_used, beta, reps=reps, seed=seed, progress=progress
         )
-    return FitResult.from_covariance(
+    return FitResult(
         beta=beta,
         cov=cov_est.cov,
         bandwidth=report,

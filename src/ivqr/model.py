@@ -25,6 +25,10 @@ def _as_2d(a, name, n_rows=None):
 
 
 def _readonly(a):
+    """``a`` as a read-only float array; a read-only float64 array owning its memory is kept."""
+    kept = isinstance(a, np.ndarray) and a.dtype == np.float64
+    if kept and a.flags.owndata and not a.flags.writeable:
+        return a
     a = np.array(a, dtype=float)
     a.flags.writeable = False
     return a
@@ -218,6 +222,9 @@ def build_problem(
         blocks_z.append(const)
     X = np.hstack(blocks_x)
     Z = np.hstack(blocks_z)
+    # fresh arrays nothing else sees, so the problem can keep them uncopied
+    X.flags.writeable = False
+    Z.flags.writeable = False
     if X.shape[1] < 1:
         raise ValueError("no regressors: supply at least one column or keep the constant")
     _check_columns(X, "X")
@@ -242,12 +249,14 @@ def unsmoothed_moments(prob: EstimationProblem, beta) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Point estimates with uncertainty and run diagnostics."""
+    """Point estimates with their covariance and run diagnostics.
+
+    ``se`` and ``ci`` are not stored: they are derived from ``cov`` and
+    ``level`` on each access.
+    """
 
     beta: np.ndarray
     cov: np.ndarray
-    se: np.ndarray
-    ci: np.ndarray
     bandwidth: Any
     n_obs: int
     solver: Any
@@ -257,13 +266,9 @@ class FitResult:
     def __post_init__(self):
         beta = np.asarray(self.beta, dtype=float).ravel()
         cov = np.asarray(self.cov, dtype=float)
-        se = np.asarray(self.se, dtype=float).ravel()
-        ci = np.asarray(self.ci, dtype=float)
         p = beta.shape[0]
         if cov.shape != (p, p):
             raise ValueError(f"cov must be {p}x{p}, got {cov.shape}")
-        if se.shape[0] != p or ci.shape != (p, 2):
-            raise ValueError("se must have length p and ci shape (p, 2)")
         scale = max(float(np.max(np.diag(cov))), 0.0)
         if np.max(np.abs(cov - cov.T)) > 1e-12 * (1.0 + scale):
             raise ValueError("covariance matrix is not symmetric")
@@ -276,25 +281,20 @@ class FitResult:
             raise ValueError("level must lie in (0, 1)")
         object.__setattr__(self, "beta", _readonly(beta))
         object.__setattr__(self, "cov", _readonly(cov))
-        object.__setattr__(self, "se", _readonly(se))
-        object.__setattr__(self, "ci", _readonly(ci))
+        object.__setattr__(self, "level", float(self.level))
 
-    @staticmethod
-    def from_covariance(beta, cov, bandwidth, solver, n_obs, vcov_kind, level) -> "FitResult":
-        """Build a result, deriving SEs and normal-theory CIs from ``cov``."""
-        beta = np.asarray(beta, dtype=float).ravel()
-        cov = np.asarray(cov, dtype=float)
-        se = np.sqrt(np.diag(cov))
-        zq = ndtri(0.5 * (1.0 + level))
-        ci = np.column_stack([beta - zq * se, beta + zq * se])
-        return FitResult(
-            beta=beta,
-            cov=cov,
-            se=se,
-            ci=ci,
-            bandwidth=bandwidth,
-            n_obs=int(n_obs),
-            solver=solver,
-            vcov_kind=vcov_kind,
-            level=float(level),
-        )
+    @property
+    def se(self) -> np.ndarray:
+        """Standard errors, the square roots of the diagonal of ``cov``."""
+        se = np.sqrt(np.diag(self.cov))
+        se.flags.writeable = False
+        return se
+
+    @property
+    def ci(self) -> np.ndarray:
+        """Normal-theory intervals at ``level``, one (lower, upper) row per coefficient."""
+        se = self.se
+        zq = ndtri(0.5 * (1.0 + self.level))
+        ci = np.column_stack([self.beta - zq * se, self.beta + zq * se])
+        ci.flags.writeable = False
+        return ci

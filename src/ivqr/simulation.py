@@ -240,8 +240,9 @@ def monte_carlo(
                 n_failed += 1
                 continue
             estimates.append(res.beta)
+            lo, hi = res.ci.T
             ses.append(res.se)
-            covers.append((res.ci[:, 0] <= truth) & (truth <= res.ci[:, 1]))
+            covers.append((lo <= truth) & (truth <= hi))
         if not estimates:
             raise EstimationError(f"all {n_reps} replications failed at tau={tau}")
         est = np.asarray(estimates)

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 import ivqr.cli
 import ivqr.estimate
-from ivqr.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, CliConfig, ingest_csv, main
+from ivqr.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, ingest_csv, main, parse_args
 from ivqr.exceptions import EstimationError
 from ivqr.model import build_problem
 
@@ -453,8 +453,9 @@ def test_ingest_matches_cell_by_cell_reading(ingest_dir, text, weighted, exog):
     path = ingest_dir / "data.csv"
     with open(path, "w", newline="") as fh:
         fh.write(text)
-    config = CliConfig(data=str(path), y="y", endog=["d"], exog=exog, iv=["z"],
-                       quantile=0.5, weight="w" if weighted else None)
+    weight = ["--weight", "w"] if weighted else []
+    config = parse_args(["--data", str(path), "--y", "y", "--endog", "d", "--exog", ",".join(exog),
+                         "--iv", "z", "--quantile", "0.5", *weight])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = outcome(lambda: ingest_csv(config))
@@ -466,8 +467,8 @@ def test_clean_input_skips_cell_by_cell_reading(tmp_path, monkeypatch):
     parse_cells = ivqr.cli._parse_cells
     monkeypatch.setattr(ivqr.cli, "_parse_cells", lambda *a: calls.append(1) or parse_cells(*a))
     cols = demo_columns(n=40, seed=6)
-    config = CliConfig(data=write_csv(tmp_path / "clean.csv", cols), y="wage",
-                       endog=["educ"], exog=["age"], iv=["dist"], quantile=0.5)
+    config = parse_args(["--data", write_csv(tmp_path / "clean.csv", cols), "--y", "wage",
+                         "--endog", "educ", "--exog", "age", "--iv", "dist", "--quantile", "0.5"])
     assert ingest_csv(config)[2] == 0
     # quoted cells, and a quoted comma in a column the model does not use
     lines = open(config.data).read().splitlines()
@@ -618,6 +619,20 @@ def test_column_in_both_endog_and_iv(demo_csv, capsys):
     )
     assert code == EXIT_INPUT
     assert "both endogenous and instrument" in err
+
+
+@pytest.mark.parametrize("flag, columns", [
+    ("--exog", ["--endog", "educ", "--exog", "age,wage", "--iv", "dist"]),
+    ("--endog", ["--endog", "educ,wage", "--iv", "dist"]),
+    ("--iv", ["--endog", "educ", "--iv", "dist,wage"]),
+])
+def test_outcome_listed_as_a_regressor_or_instrument(demo_csv, capsys, flag, columns):
+    code, out, err = run_cli(
+        ["--data", demo_csv, "--y", "wage", *columns, "--quantile", "0.5"], capsys
+    )
+    assert code == EXIT_INPUT
+    assert err == f"error: the --y column 'wage' is also listed under {flag}\n"
+    assert out == ""
 
 
 def test_initial_wrong_length(demo_csv, capsys):

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.special import ndtri
 
+from ivqr.estimate import fit
 from ivqr.model import (
     EstimationProblem,
     FitResult,
@@ -128,6 +130,34 @@ def test_arrays_are_read_only():
         prob.X[0, 0] = 0.0
 
 
+def test_read_only_owned_arrays_are_kept():
+    y, x, d, z = small_problem()
+    X = np.column_stack([d, x])
+    Z = np.column_stack([x, z])
+    X.flags.writeable = False
+    Z.flags.writeable = False
+    prob = EstimationProblem(y=y, X=X, Z=Z, w=np.ones(y.shape[0]), tau=0.5, endog_idx=(0,))
+    assert np.shares_memory(prob.X, X) and np.shares_memory(prob.Z, Z)
+
+
+def test_writeable_arrays_are_copied():
+    y, x, d, z = small_problem()
+    X = np.column_stack([d, x])
+    Z = np.column_stack([x, z])
+    # a read-only view does not own its memory, so it is copied too
+    view = np.column_stack([d, x, z])[:, :2]
+    view.flags.writeable = False
+    w = np.ones(y.shape[0])
+    copied = EstimationProblem(y=y, X=view, Z=Z, w=w, tau=0.5, endog_idx=(0,))
+    assert not np.shares_memory(copied.X, view)
+    prob = EstimationProblem(y=y, X=X, Z=Z, w=w, tau=0.5, endog_idx=(0,))
+    before = [a.copy() for a in (prob.y, prob.X, prob.Z)]
+    for a in (y, X, Z):
+        a[0] = 99.0
+    for a, b in zip((prob.y, prob.X, prob.Z), before):
+        np.testing.assert_array_equal(a, b)
+
+
 # ------------------------------------------------------------ validations
 
 
@@ -229,11 +259,11 @@ def test_unsmoothed_moments_rejects_wrong_length():
 # ------------------------------------------------------------ fit results
 
 
-def test_from_covariance_builds_normal_cis():
+def test_fit_result_derives_normal_cis():
     beta = np.array([1.0, -2.0])
     cov = np.array([[0.04, 0.01], [0.01, 0.09]])
-    res = FitResult.from_covariance(
-        beta, cov, bandwidth=None, solver=None, n_obs=100,
+    res = FitResult(
+        beta=beta, cov=cov, bandwidth=None, n_obs=100, solver=None,
         vcov_kind="analytic", level=0.95,
     )
     np.testing.assert_allclose(res.se, [0.2, 0.3])
@@ -243,12 +273,30 @@ def test_from_covariance_builds_normal_cis():
     np.testing.assert_allclose(res.ci[:, 1], beta + zq * res.se, rtol=1e-12)
 
 
+@pytest.mark.parametrize("reps", [0, 50])
+def test_fit_se_and_ci_are_read_only_and_derived_from_cov(reps):
+    y, x, d, z = small_problem(n=200, seed=5)
+    prob = build_problem(y, raw_exog=x, raw_endog=d, raw_instr=z, quantile=0.5)
+    res = fit(prob, level=0.9, reps=reps)
+    assert res.vcov_kind == ("analytic" if reps == 0 else "bootstrap")
+    se = np.sqrt(np.diag(res.cov))
+    zq = ndtri(0.5 * (1.0 + 0.9))
+    ci = np.column_stack([res.beta - zq * se, res.beta + zq * se])
+    assert res.se.tobytes() == se.tobytes() and res.se.shape == se.shape
+    assert res.ci.tobytes() == ci.tobytes() and res.ci.shape == ci.shape
+    for name in ("se", "ci"):
+        with pytest.raises(ValueError):
+            getattr(res, name)[0] = 0.0
+        with pytest.raises(AttributeError):
+            setattr(res, name, None)
+
+
 def test_fit_result_rejects_asymmetric_cov():
     beta = np.zeros(2)
     cov = np.array([[1.0, 0.5], [0.2, 1.0]])
     with pytest.raises(ValueError, match="symmetric"):
         FitResult(
-            beta=beta, cov=cov, se=np.ones(2), ci=np.zeros((2, 2)),
+            beta=beta, cov=cov,
             bandwidth=None, n_obs=10, solver=None, vcov_kind="analytic", level=0.9,
         )
 
@@ -258,6 +306,6 @@ def test_fit_result_rejects_indefinite_cov():
     cov = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1
     with pytest.raises(ValueError, match="PSD"):
         FitResult(
-            beta=beta, cov=cov, se=np.ones(2), ci=np.zeros((2, 2)),
+            beta=beta, cov=cov,
             bandwidth=None, n_obs=10, solver=None, vcov_kind="analytic", level=0.9,
         )

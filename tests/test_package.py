@@ -45,3 +45,16 @@ def test_benchmark_tracer_targets_resolve(monkeypatch):
     ]
     assert missing == []
     assert list(inspect.signature(solve_see).parameters)[2:4] == ["h_request", "beta_init"]
+
+
+def test_benchmark_workloads_pass_their_checks_at_tiny_scale(monkeypatch, tmp_path):
+    # one warm-up call of each perfbench workload, with its full output checks
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    failed = {}
+    for name, wl in workloads.WORKLOADS.items():
+        state = wl.setup(5, "tiny", tmp_path)
+        digest, failures, coef_err = wl.inspect(state, wl.call(state), [], first=True)
+        if failures or not isinstance(digest, str) or not coef_err < float("inf"):
+            failed[name] = failures
+    assert failed == {}
