@@ -98,8 +98,10 @@ def ingest_csv(config: argparse.Namespace):
     the problem builder; unparseable cells raise with their row and column.
 
     The data rows are parsed in one ``np.loadtxt`` call.  Input it rejects
-    (an empty cell, a short row, text that is not a number) is read again
-    cell by cell, which maps missing cells to NaN and names a bad cell.
+    is parsed again by ``np.loadtxt`` with ``float`` on every cell and an
+    empty cell read as NaN.  Input that pass rejects too (a short row, text
+    that is not a number), or that holds a row with every cell blank, is read
+    cell by cell, which skips blank rows and names a bad cell.
     """
     cols = [config.y] + config.endog + config.exog + config.iv
     if config.weight:
@@ -115,17 +117,13 @@ def ingest_csv(config: argparse.Namespace):
         if missing:
             raise ValueError(f"columns not found in {config.data}: {missing}")
         usecols = [header.index(c) for c in cols]
-        try:
-            with warnings.catch_warnings():
-                # a file without data rows is reported below, not warned about
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-                table = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"',
-                                   usecols=usecols, ndmin=2, dtype=float)
-        except ValueError:
-            fh.seek(0)
-            reader = csv.reader(fh)
-            next(reader)
-            table = _parse_cells(reader, cols, usecols, config.data)
+        table = _load_rows(fh, usecols, None)
+        if table is None:
+            _rewind(fh)
+            table = _load_rows(fh, usecols, _cell_or_nan)
+            # cell by cell, a row of blank cells is skipped, not read as NaN
+            if table is None or np.isnan(table).all(axis=1).any():
+                table = _parse_cells(_rewind(fh), cols, usecols, config.data)
     if table.shape[0] == 0:
         raise ValueError(f"{config.data} has a header but no observations")
     # the table's columns follow cols: y, endogenous, exogenous, instruments, weight
@@ -144,6 +142,33 @@ def ingest_csv(config: argparse.Namespace):
     if not config.noconstant:
         names.append("_cons")
     return prob, names, table.shape[0] - prob.n
+
+
+def _load_rows(fh, usecols, converters):
+    """The data rows of the referenced columns as one float table, or None
+    when ``np.loadtxt`` rejects them."""
+    try:
+        with warnings.catch_warnings():
+            # a file without data rows is reported by the caller, not warned about
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            return np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', usecols=usecols,
+                              ndmin=2, dtype=float, converters=converters)
+    except ValueError:
+        return None
+
+
+def _cell_or_nan(cell):
+    """A cell as ``float`` reads it, or NaN when it is blank."""
+    cell = cell.strip()
+    return float(cell) if cell else np.nan
+
+
+def _rewind(fh):
+    """Move ``fh`` to its first data row; a CSV reader that starts there."""
+    fh.seek(0)
+    reader = csv.reader(fh)
+    next(reader)
+    return reader
 
 
 def _parse_cells(reader, cols, usecols, path):

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Any
 
 import numpy as np
@@ -24,12 +24,10 @@ def _as_2d(a, name, n_rows=None):
     return a
 
 
-def _readonly(a):
-    """``a`` as a read-only float array; a read-only float64 array owning its memory is kept."""
-    kept = isinstance(a, np.ndarray) and a.dtype == np.float64
-    if kept and a.flags.owndata and not a.flags.writeable:
-        return a
-    a = np.array(a, dtype=float)
+def _readonly(a, owned=False):
+    """A read-only float copy of ``a``; ``a`` itself when ``owned`` says
+    that nothing else holds it."""
+    a = np.asarray(a, dtype=float) if owned else np.array(a, dtype=float)
     a.flags.writeable = False
     return a
 
@@ -42,6 +40,11 @@ class EstimationProblem:
     present); Z holds all instruments (exogenous regressors instrument
     themselves).  Weights multiply each observation's contribution to every
     sample average.
+
+    The problem keeps read-only copies of the arrays it is given, so a
+    later write to an input array cannot reach a validated problem.
+    ``_owned=True`` is for :func:`build_problem` alone: it hands over arrays
+    it has just allocated, which are kept without a copy.
     """
 
     y: np.ndarray
@@ -50,8 +53,9 @@ class EstimationProblem:
     w: np.ndarray
     tau: float
     endog_idx: tuple = ()
+    _owned: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _owned):
         y = np.asarray(self.y, dtype=float).ravel()
         X = _as_2d(self.X, "X")
         Z = _as_2d(self.Z, "Z")
@@ -90,10 +94,8 @@ class EstimationProblem:
                 raise ValueError(
                     f"exogenous regressor column {j} of X does not appear among the instrument columns"
                 )
-        object.__setattr__(self, "y", _readonly(y))
-        object.__setattr__(self, "X", _readonly(X))
-        object.__setattr__(self, "Z", _readonly(Z))
-        object.__setattr__(self, "w", _readonly(w))
+        for name, arr in (("y", y), ("X", X), ("Z", Z), ("w", w)):
+            object.__setattr__(self, name, _readonly(arr, _owned))
         object.__setattr__(self, "tau", float(self.tau))
         object.__setattr__(self, "endog_idx", endog)
 
@@ -186,7 +188,8 @@ def build_problem(
         Append an intercept column to both X and Z (default True).
     """
     tau = convert_quantile(quantile)
-    y = np.asarray(raw_y, dtype=float).ravel()
+    # y, w, X and Z are fresh arrays from here on: the problem keeps them uncopied
+    y = np.array(raw_y, dtype=float).ravel()
     n_raw = y.shape[0]
     exog = _as_2d(raw_exog, "raw_exog", n_raw)
     endog = _as_2d(raw_endog, "raw_endog", n_raw)
@@ -199,7 +202,7 @@ def build_problem(
     if weights is None:
         w = np.ones(n_raw, dtype=float)
     else:
-        w = np.asarray(weights, dtype=float).ravel()
+        w = np.array(weights, dtype=float).ravel()
         if w.shape[0] != n_raw:
             raise ValueError(f"weights have {w.shape[0]} rows, expected {n_raw}")
 
@@ -222,15 +225,12 @@ def build_problem(
         blocks_z.append(const)
     X = np.hstack(blocks_x)
     Z = np.hstack(blocks_z)
-    # fresh arrays nothing else sees, so the problem can keep them uncopied
-    X.flags.writeable = False
-    Z.flags.writeable = False
     if X.shape[1] < 1:
         raise ValueError("no regressors: supply at least one column or keep the constant")
     _check_columns(X, "X")
     _check_columns(Z, "Z")
     endog_idx = tuple(range(endog.shape[1]))
-    return EstimationProblem(y=y, X=X, Z=Z, w=w, tau=tau, endog_idx=endog_idx)
+    return EstimationProblem(y=y, X=X, Z=Z, w=w, tau=tau, endog_idx=endog_idx, _owned=True)
 
 
 def unsmoothed_moments(prob: EstimationProblem, beta) -> np.ndarray:

@@ -482,7 +482,21 @@ def test_clean_input_skips_cell_by_cell_reading(tmp_path, monkeypatch):
     cols["age"][3] = None
     config.data = write_csv(tmp_path / "gap.csv", cols)
     assert ingest_csv(config)[2] == 1
-    assert calls == [1]
+    # a missing cell is read by loadtxt as NaN; only a row of blank cells,
+    # which the loop skips, or a bad cell, which it names, reaches the loop
+    assert calls == []
+    gap = open(config.data).read()
+    n_cols = len(cols)
+    for name, extra in (("blank_row", " ," * (n_cols - 1) + "\n"),
+                        ("bad_cell", ",".join(["1x"] * n_cols) + "\n")):
+        config.data = str(tmp_path / f"{name}.csv")
+        open(config.data, "w").write(gap + extra)
+        if name == "blank_row":
+            assert ingest_csv(config)[2] == 1
+        else:
+            with pytest.raises(ValueError, match="unparseable value '1x'"):
+                ingest_csv(config)
+    assert calls == [1, 1]
 
 
 # -------------------------------------------------------------- exit codes

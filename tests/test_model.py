@@ -1,6 +1,7 @@
 """Tests for problem assembly, quantile conversion, and result containers."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -130,14 +131,37 @@ def test_arrays_are_read_only():
         prob.X[0, 0] = 0.0
 
 
-def test_read_only_owned_arrays_are_kept():
+def test_read_only_caller_arrays_are_copied():
+    # numpy lets the owner of a read-only array make it writeable again
     y, x, d, z = small_problem()
     X = np.column_stack([d, x])
     Z = np.column_stack([x, z])
-    X.flags.writeable = False
-    Z.flags.writeable = False
+    for a in (y, X, Z):
+        a.flags.writeable = False
     prob = EstimationProblem(y=y, X=X, Z=Z, w=np.ones(y.shape[0]), tau=0.5, endog_idx=(0,))
-    assert np.shares_memory(prob.X, X) and np.shares_memory(prob.Z, Z)
+    for name, a in (("y", y), ("X", X), ("Z", Z)):
+        a.flags.writeable = True
+        a[0] = np.nan
+        assert np.all(np.isfinite(getattr(prob, name)))
+
+
+def test_build_problem_keeps_the_arrays_it_allocates():
+    # the default weights, X and Z are made by build_problem and kept
+    # uncopied: the peak holds the outcome copy, the four kept columns and
+    # the intercept column both X and Z are stacked from, and nothing more
+    n = 200_000
+    y = np.random.default_rng(3).normal(size=n)
+    column = 8 * n
+    tracemalloc.start()
+    try:
+        prob = build_problem(y, quantile=0.5)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept >= 4 * column
+    assert peak - kept < 1.5 * column
+    assert all(not a.flags.writeable for a in (prob.y, prob.X, prob.Z, prob.w))
+    assert not np.shares_memory(prob.y, y)
 
 
 def test_writeable_arrays_are_copied():

@@ -20,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 import ivqr.solver as solver_mod
 from ivqr.model import EstimationProblem, build_problem
 from ivqr.exceptions import ConvergenceError
+from ivqr.bandwidth import plug_in_bandwidth
 from ivqr.projection import iv_estimate, project_instruments
 from ivqr.simulation import winsorized_mean_oracle
 from ivqr.smoothing import itilde
@@ -547,3 +548,193 @@ def test_solution_container_is_frozen():
     assert isinstance(sol, SeeSolution)
     with pytest.raises(AttributeError):
         sol.h_used = 2.0
+
+
+# ------------------------------------------------------------- window band
+
+
+def band_design(seed, kind, tau, n=3000):
+    """A design for the window band: reference, weighted, overidentified, or
+    with t(3) errors."""
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(n, 2 if kind == "overidentified" else 1))
+    d = z.sum(axis=1) + 0.5 * rng.normal(size=n)
+    x = rng.normal(size=n)
+    e = rng.standard_t(3, size=n) if kind == "t3" else rng.normal(size=n)
+    w = rng.uniform(0.2, 3.0, size=n) if kind == "weighted" else None
+    prob = build_problem(1.0 + d - 0.5 * x + e, raw_exog=x, raw_endog=d, raw_instr=z,
+                         weights=w, quantile=tau)
+    zhat = project_instruments(prob)
+    h = plug_in_bandwidth(prob, prob.y - prob.X @ iv_estimate(prob, zhat)).h_requested
+    return prob, zhat, h
+
+
+def full_homotopy(prob, zhat, h):
+    """``solve_see`` with the window band out of reach."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver_mod, "BAND_MIN_ROWS", prob.n + 1)
+        return solve_see(prob, zhat, h)
+
+
+def subsample_rows(prob, min_rows=500):
+    """Rows in the band path's every-k-th-row subsample."""
+    return len(range(0, prob.n, prob.n // min_rows + 1))
+
+
+def count_iv_rows(monkeypatch):
+    rows = []
+
+    def counted(prob_, zhat_):
+        rows.append(prob_.n)
+        return iv_estimate(prob_, zhat_)
+
+    monkeypatch.setattr(solver_mod, "iv_estimate", counted)
+    return rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**31),
+    kind=st.sampled_from(["reference", "weighted", "overidentified", "t3"]),
+    tau=st.floats(0.05, 0.95),
+    scale=st.floats(0.5, 2.0),
+)
+def test_band_root_is_the_full_homotopy_root(seed, kind, tau, scale):
+    prob, zhat, h = band_design(seed, kind, tau)
+    h *= scale
+    full = full_homotopy(prob, zhat, h)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver_mod, "BAND_MIN_ROWS", 500)
+        band = solve_see(prob, zhat, h)
+    assert band.h_used == full.h_used == h
+    assert band.diag.converged and band.diag.band_rounds >= 1
+    assert 0 < band.diag.band_rows < prob.n
+    tol = tol_residual(prob, zhat)
+    assert np.max(np.abs(see_residual(prob, zhat, band.beta, h))) <= tol
+    # two roots within tolerance differ by at most J^-1 times twice the tolerance
+    J_inv = np.linalg.inv(see_jacobian(prob, zhat, full.beta, h))
+    assert np.max(np.abs(band.beta - full.beta)) <= 2.0 * tol * np.linalg.norm(J_inv, np.inf)
+
+
+def test_band_root_comes_from_the_band(monkeypatch):
+    prob, zhat, h = band_design(3, "reference", 0.25)
+    calls = []
+    spy_newton(monkeypatch, calls)
+    sol = solve_see(prob, zhat, h)
+    assert sol.diag.band_rounds == 0 and sol.diag.band_rows == 0
+    calls.clear()
+    monkeypatch.setattr(solver_mod, "BAND_MIN_ROWS", 500)
+    rows = count_iv_rows(monkeypatch)
+    band = solve_see(prob, zhat, h)
+    # one IV start, on the subsample; the last stage on the band
+    assert rows == [subsample_rows(prob)]
+    assert calls[-1][0] == band.diag.band_rows + 2
+    assert band.diag.band_rounds == 1
+    assert band.diag.iterations == sum(c[1] for c in calls)
+    assert band.diag.homotopy_stages == len(calls)
+    assert band.diag.final_residual_inf_norm == np.max(
+        np.abs(see_residual(prob, zhat, band.beta, h)))
+
+
+def spy_newton(monkeypatch, calls, fail_on_rows=None):
+    """Record (rows, iterations) of every Newton stage; fail the stages on
+    problems whose row count ``fail_on_rows`` accepts."""
+    real = solver_mod._damped_newton
+
+    def spy(prob_, zhat_, beta0, h, tol, zw=None):
+        if fail_on_rows is not None and fail_on_rows(prob_.n):
+            out = always_fail(prob_, zhat_, beta0, h, tol, zw)
+        else:
+            out = real(prob_, zhat_, beta0, h, tol, zw)
+        calls.append((prob_.n, out[1]))
+        return out
+
+    monkeypatch.setattr(solver_mod, "_damped_newton", spy)
+
+
+@pytest.mark.parametrize("full_check", ["kept", "blinded"])
+def test_narrow_band_widens(monkeypatch, full_check):
+    prob, zhat, h = band_design(11, "reference", 0.25)
+    monkeypatch.setattr(solver_mod, "BAND_WIDTH", 1.0)
+    monkeypatch.setattr(solver_mod, "BAND_MIN_ROWS", 500)
+    if full_check == "blinded":
+        # the full-data moment reads zero, so only the rule that no collapsed
+        # row may sit in the window is left to reject a band
+        real = solver_mod.see_residual
+        monkeypatch.setattr(
+            solver_mod, "see_residual",
+            lambda p, z, b, h_, v=None, zw=None: np.zeros(p.p) if p is prob else real(p, z, b, h_, v, zw),
+        )
+    rows = count_iv_rows(monkeypatch)
+    calls = []
+    spy_newton(monkeypatch, calls)
+    sol = solve_see(prob, zhat, h)
+    assert rows == [subsample_rows(prob)], "fell back to the full homotopy"
+    assert sol.diag.band_rounds > 1
+    bands = [n for n, _ in calls if n not in (rows[0], prob.n)]
+    assert len(bands) == sol.diag.band_rounds
+    assert all(b > 1.5 * a for a, b in zip(bands, bands[1:])), "the band did not widen"
+    assert sol.h_used == h
+    assert np.max(np.abs(see_residual(prob, zhat, sol.beta, h))) <= tol_residual(prob, zhat)
+
+
+@pytest.mark.parametrize("failure", ["band_newton", "never_accepted", "subsample"])
+def test_failed_band_falls_back_to_the_full_homotopy(monkeypatch, failure):
+    prob, zhat, h = band_design(5, "weighted", 0.3)
+    today = full_homotopy(prob, zhat, h)
+    monkeypatch.setattr(solver_mod, "BAND_MIN_ROWS", 500)
+    calls, sub = [], subsample_rows(prob)
+    if failure == "band_newton":
+        spy_newton(monkeypatch, calls, fail_on_rows=lambda n: n not in (sub, prob.n))
+    elif failure == "never_accepted":
+        monkeypatch.setattr(solver_mod, "BAND_WIDTH", 1.0)
+        monkeypatch.setattr(solver_mod, "MAX_BAND_ROUNDS", 1)
+        spy_newton(monkeypatch, calls)
+    else:
+        spy_newton(monkeypatch, calls, fail_on_rows=lambda n: n == sub)
+    sol = solve_see(prob, zhat, h)
+    assert np.array_equal(sol.beta, today.beta)
+    assert sol.h_used == today.h_used
+    assert sol.diag.final_residual_inf_norm == today.diag.final_residual_inf_norm
+    assert sol.diag.bandwidth_escalations == today.diag.bandwidth_escalations
+    # the band's work is counted with the homotopy's
+    assert sol.diag.iterations == sum(c[1] for c in calls)
+    assert sol.diag.homotopy_stages == len(calls) > today.diag.homotopy_stages
+    assert sol.diag.band_rounds == (0 if failure == "subsample" else 1)
+
+
+def test_band_solve_is_bitwise_deterministic(monkeypatch):
+    prob, zhat, h = band_design(8, "t3", 0.7)
+    monkeypatch.setattr(solver_mod, "BAND_MIN_ROWS", 500)
+    s1, s2 = solve_see(prob, zhat, h), solve_see(prob, zhat, h)
+    assert s1.diag.band_rounds >= 1
+    assert np.array_equal(s1.beta, s2.beta)
+    assert s1.h_used == s2.h_used
+    assert s1.diag == s2.diag
+
+
+@pytest.mark.parametrize("path", ["below_threshold", "warm", "failed_warm", "smallest_feasible"])
+def test_band_is_not_built_off_the_large_cold_path(monkeypatch, path):
+    prob, zhat, h = band_design(9, "reference", 0.5)
+    beta_init = solve_see(prob, zhat, h).beta if "warm" in path else None
+    h = 0.0 if path == "smallest_feasible" else h
+    if path == "failed_warm":
+        # the warm stage fails, and the full homotopy runs as it does today
+        newton, stages = solver_mod._damped_newton, []
+
+        def fail_warm_stage(*args):
+            stages.append(1)
+            return (always_fail if len(stages) == 1 else newton)(*args)
+
+        monkeypatch.setattr(solver_mod, "_damped_newton", fail_warm_stage)
+    built = []
+    real = solver_mod._band_problem
+    monkeypatch.setattr(solver_mod, "_band_problem", lambda *a: built.append(1) or real(*a))
+    monkeypatch.setattr(solver_mod, "BAND_MIN_ROWS", prob.n + 1 if path == "below_threshold" else 500)
+    sol = solve_see(prob, zhat, h, beta_init)
+    assert built == []
+    assert sol.diag.band_rows == 0 and sol.diag.band_rounds == 0
+    if path == "below_threshold":
+        monkeypatch.setattr(solver_mod, "BAND_MIN_ROWS", prob.n)
+        assert solve_see(prob, zhat, h).diag.band_rounds == 1
+        assert built == [1]
