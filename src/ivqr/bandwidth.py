@@ -219,8 +219,7 @@ def fit_with_plugin(
     refinement runs exactly once; manually chosen bandwidths never enter this
     function.  The returned diagnostics cover both solves: iterations,
     homotopy stages and escalations are summed, and ``converged`` holds only
-    if both converged.  The window-band fields come from the first solve,
-    the only one that can be cold.
+    if both converged.
     """
     start = iv_estimate(prob, zhat) if beta_init is None else np.asarray(beta_init, float)
     rep1 = plug_in_bandwidth(prob, residuals(prob, start))
@@ -235,7 +234,5 @@ def fit_with_plugin(
         bandwidth_escalations=d1.bandwidth_escalations + d2.bandwidth_escalations,
         converged=d1.converged and d2.converged,
         homotopy_stages=d1.homotopy_stages + d2.homotopy_stages,
-        band_rows=d1.band_rows,
-        band_rounds=d1.band_rounds,
     )
     return PluginFit(beta=sol2.beta, report=report, diag=diag)

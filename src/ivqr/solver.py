@@ -18,16 +18,10 @@ between the moment and the Jacobian; the moment is one matrix-vector product
 of clipped residuals, and the Jacobian sums over the rows inside the
 smoothing window only.
 
-A cold solve on at least ``BAND_MIN_ROWS`` rows first tries a window band.
-Outside the window the ramp is flat, so a row with v >= h adds exactly
--w_i zhat_i/(2n) to the moment and a row with v <= -h adds +w_i zhat_i/(2n),
-and neither enters the Jacobian.  Newton therefore runs on the rows near the
-root of a strided subsample, with every other row collapsed into two glob
-rows (Portnoy and Koenker, 1997).  A full residual pass accepts the band
-root only when no collapsed row has entered or crossed the window and the
-full-data moment is within tolerance; otherwise the band widens, and in the
-end any failure runs the full homotopy on all rows as if no band had been
-tried (details in :func:`solve_see`).
+A cold solve on at least ``SUBSAMPLE_MIN_ROWS`` rows runs the homotopy on a
+strided subsample first and starts one full-data Newton stage from its root,
+as a warm start does; if either fails the full homotopy runs on all rows
+(details in :func:`solve_see`).
 
 Each accepted Newton step is logged at DEBUG on the ``ivqr.solver`` logger.
 """
@@ -47,14 +41,12 @@ MAX_NEWTON_ITER = 200
 MAX_BACKTRACK = 30
 MAX_ESCALATIONS = 40
 ESCALATION_FACTOR = 1.5
-# cold solves on at least this many rows try the window band first, on a
-# subsample of at most this many rows.  Measured on plug-in fits of the
-# reference design at tau = 0.25 (one BLAS thread): even at n = 5e4, 8 of
-# 44 ms saved at 1e5, 0.38 of 0.73 s at 1e6.  A 1e4-row subsample was
-# faster at 1e5 but at 1e6 more often needed a second band or fell back.
-BAND_MIN_ROWS = 50_000
-BAND_WIDTH = 3.0  # half-width of the first band, in bandwidths
-MAX_BAND_ROUNDS = 3
+# cold solves on at least this many rows start the full-data Newton stage
+# from the root on a strided subsample of at most this many rows.  Measured
+# on plug-in fits of the reference design at tau = 0.25 (one BLAS thread,
+# full homotopy -> subsample start): 23 -> 20 ms at n = 5e4, 44 -> 32 ms at
+# 1e5, 0.72 -> 0.34 s at 1e6.
+SUBSAMPLE_MIN_ROWS = 50_000
 
 _LOG = logging.getLogger(__name__)
 
@@ -66,8 +58,6 @@ class SolverDiagnostics:
     bandwidth_escalations: int = 0
     converged: bool = False
     homotopy_stages: int = 0
-    band_rows: int = 0  # data rows in the last window band tried; 0 without one
-    band_rounds: int = 0  # window bands tried
 
 
 @dataclass(frozen=True)
@@ -220,22 +210,13 @@ def solve_see(
     refinement and bootstrap replications); only if the direct solve fails
     does it compute the IV start and fall back to the full homotopy.
 
-    A cold solve of a positive request on at least ``BAND_MIN_ROWS`` rows
-    first tries the window band.  The homotopy above runs at the request on
-    every k-th row, k = n // BAND_MIN_ROWS + 1.  At its root, the rows with
-    |v| < 3h form the band; the rows above it collapse into one glob row
-    (instruments sum_i w_i zhat_i, residual fixed at the band edge, so at or
-    beyond h) and the rows below it into another.  Newton runs on the band
-    at the request from the subsample root, to a thousandth of the
-    tolerance.  One full residual pass then
-    accepts the band root when no collapsed row has entered the window or
-    crossed it and the full-data moment is within tolerance: the band's
-    equations are then the full equations, so the root is exact.  Otherwise
-    the band doubles around the new root, for up to ``MAX_BAND_ROUNDS``
-    bands.  A subsample that escalates or fails, a band Newton that fails,
-    or a last band not accepted hands the solve to the full homotopy on all
-    rows, unchanged.  ``diag`` counts the band's stages and iterations with
-    the others and records ``band_rows`` and ``band_rounds``.
+    A cold solve of a positive request on at least ``SUBSAMPLE_MIN_ROWS``
+    rows first runs the homotopy above, without escalation, on every k-th
+    row, k = n // SUBSAMPLE_MIN_ROWS + 1, and starts the same single
+    full-data Newton stage at the request from that root.  A subsample that
+    escalates or fails, or a full-data stage that fails, hands the solve to
+    the full homotopy on all rows, unchanged.  ``diag`` counts the
+    subsample's stages and iterations with the others.
     """
     h_request = float(h_request)
     if not np.isfinite(h_request) or h_request < 0:
@@ -245,18 +226,18 @@ def solve_see(
     target0 = h_request if h_request > 0 else float(np.finfo(float).tiny)
     diag = SolverDiagnostics()
 
+    start = None
     if beta_init is not None:
-        warm = np.asarray(beta_init, dtype=float).ravel()
-        if warm.shape[0] != prob.p:
-            raise ValueError(f"beta_init has length {warm.shape[0]}, expected {prob.p}")
-        stage = _stage(prob, zhat, warm, target0, tol, zw, diag)
+        start = np.asarray(beta_init, dtype=float).ravel()
+        if start.shape[0] != prob.p:
+            raise ValueError(f"beta_init has length {start.shape[0]}, expected {prob.p}")
+    elif h_request > 0 and prob.n >= SUBSAMPLE_MIN_ROWS:
+        start = _subsample_root(prob, zhat, target0, diag)
+    if start is not None:
+        stage = _stage(prob, zhat, start, target0, tol, zw, diag)
         if stage is not None:
             beta, diag.final_residual_inf_norm = stage
             return _converged(beta, target0, diag)
-    elif h_request > 0 and prob.n >= BAND_MIN_ROWS:
-        sol = _band_solve(prob, zhat, target0, tol, zw, diag)
-        if sol is not None:
-            return sol
 
     sol = _homotopy(prob, zhat, target0, tol, zw, diag)
     if sol is not None:
@@ -314,13 +295,14 @@ def _homotopy(prob, zhat, target0, tol, zw, diag, max_escalations=MAX_ESCALATION
     return None
 
 
-def _band_solve(prob, zhat, h, tol, zw, diag):
-    """The root at ``h`` found on a window band (see :func:`solve_see`), or
-    None when the full homotopy has to run."""
-    every = slice(None, None, prob.n // BAND_MIN_ROWS + 1)
+def _subsample_root(prob, zhat, h, diag):
+    """The homotopy's root at ``h`` on every k-th row (see :func:`solve_see`),
+    or None when it escalates or fails; its work is counted in ``diag``."""
+    every = slice(None, None, prob.n // SUBSAMPLE_MIN_ROWS + 1)
     sub_diag = SolverDiagnostics()
     try:
-        # zhat stands in for Z, as in _band_problem
+        # zhat stands in for Z; every regressor is marked endogenous, since
+        # zhat does not contain X
         sub = EstimationProblem(
             y=prob.y[every], X=prob.X[every], Z=zhat[every], w=prob.w[every],
             tau=prob.tau, endog_idx=range(prob.p),
@@ -332,54 +314,7 @@ def _band_solve(prob, zhat, h, tol, zw, diag):
         sol = None
     diag.iterations += sub_diag.iterations
     diag.homotopy_stages += sub_diag.homotopy_stages
-    if sol is None or sol.h_used != h:
-        return None
-
-    beta, v, half = sol.beta, residuals(prob, sol.beta), BAND_WIDTH * h
-    for _ in range(MAX_BAND_ROUNDS):
-        above, below = v >= half, v <= -half
-        band = _band_problem(prob, zhat, above, below, half)
-        diag.band_rows = band.n - 2
-        diag.band_rounds += 1
-        # from the subsample root Newton would stop just under the tolerance,
-        # where the homotopy's last stage, started beside the root, ends near
-        # rounding level; stopping well under it gives the same root
-        stage = _stage(band, band.Z, beta, h, 1e-3 * tol, zw, diag)
-        if stage is None:
-            return None
-        beta = stage[0]
-        v = residuals(prob, beta)
-        # a collapsed row that entered the window, or crossed it, breaks its glob
-        if not (np.any(above & (v < h)) or np.any(below & (v > -h))):
-            gn = float(np.max(np.abs(see_residual(prob, zhat, beta, h, v=v, zw=zw))))
-            if gn <= tol:
-                diag.final_residual_inf_norm = gn
-                return _converged(beta, h, diag)
-        half *= 2.0
-    return None
-
-
-def _band_problem(prob, zhat, above, below, half):
-    """The rows in neither ``above`` nor ``below``, plus one glob row for each.
-
-    A glob row's instruments are the weighted sum of zhat over its rows and
-    its regressors are zero, so its residual stays at +``half`` or -``half``,
-    where the ramp is flat for any bandwidth up to ``half``.  The weights
-    are scaled by n_band / n, so the band's moment and Jacobian, which divide
-    by the band's row count, are the full data's.  The instruments ride in Z,
-    and every regressor is marked endogenous, since zhat does not contain X.
-    """
-    rows = np.flatnonzero(~(above | below))
-    globs = [zhat.T @ np.where(side, prob.w, 0.0) for side in (above, below)]
-    n_band = rows.size + 2
-    return EstimationProblem(
-        y=np.append(prob.y[rows], [half, -half]),
-        X=np.vstack([prob.X[rows], np.zeros((2, prob.p))]),
-        Z=np.vstack([zhat[rows], globs]),
-        w=np.append(prob.w[rows], [1.0, 1.0]) * (n_band / prob.n),
-        tau=prob.tau,
-        endog_idx=range(prob.p),
-    )
+    return sol.beta if sol is not None and sol.h_used == h else None
 
 
 def _converged(beta, h_used, diag: SolverDiagnostics) -> SeeSolution:

@@ -550,12 +550,14 @@ def test_solution_container_is_frozen():
         sol.h_used = 2.0
 
 
-# ------------------------------------------------------------- window band
+# -------------------------------------------------------- subsample start
+# (the test names keep the word "band" from the window-band solve that the
+# subsample start replaced)
 
 
 def band_design(seed, kind, tau, n=3000):
-    """A design for the window band: reference, weighted, overidentified, or
-    with t(3) errors."""
+    """A design for the subsample start: reference, weighted, overidentified,
+    or with t(3) errors."""
     rng = np.random.default_rng(seed)
     z = rng.normal(size=(n, 2 if kind == "overidentified" else 1))
     d = z.sum(axis=1) + 0.5 * rng.normal(size=n)
@@ -570,26 +572,52 @@ def band_design(seed, kind, tau, n=3000):
 
 
 def full_homotopy(prob, zhat, h):
-    """``solve_see`` with the window band out of reach."""
+    """``solve_see`` with the subsample start out of reach."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solver_mod, "BAND_MIN_ROWS", prob.n + 1)
+        mp.setattr(solver_mod, "SUBSAMPLE_MIN_ROWS", prob.n + 1)
         return solve_see(prob, zhat, h)
 
 
 def subsample_rows(prob, min_rows=500):
-    """Rows in the band path's every-k-th-row subsample."""
+    """Rows in the every-k-th-row subsample."""
     return len(range(0, prob.n, prob.n // min_rows + 1))
 
 
-def count_iv_rows(monkeypatch):
-    rows = []
+def homotopy_rows(monkeypatch):
+    """Record the row count of every problem ``_homotopy`` is run on."""
+    rows, real = [], solver_mod._homotopy
 
-    def counted(prob_, zhat_):
+    def counted(prob_, *args, **kwargs):
         rows.append(prob_.n)
-        return iv_estimate(prob_, zhat_)
+        return real(prob_, *args, **kwargs)
 
-    monkeypatch.setattr(solver_mod, "iv_estimate", counted)
+    monkeypatch.setattr(solver_mod, "_homotopy", counted)
     return rows
+
+
+def assert_near_root(prob, zhat, h, beta, ref):
+    """``beta`` solves the equations at ``h`` and lies within the distance two
+    roots within tolerance can be apart from the root ``ref``."""
+    tol = tol_residual(prob, zhat)
+    assert np.max(np.abs(see_residual(prob, zhat, beta, h))) <= tol
+    J_inv = np.linalg.inv(see_jacobian(prob, zhat, ref, h))
+    assert np.max(np.abs(beta - ref)) <= 2.0 * tol * np.linalg.norm(J_inv, np.inf)
+
+
+def spy_newton(monkeypatch, calls, fail=None):
+    """Record (rows, iterations) of every Newton stage; fail the stages for
+    which ``fail(rows, h)`` is true."""
+    real = solver_mod._damped_newton
+
+    def spy(prob_, zhat_, beta0, h, tol, zw=None):
+        if fail is not None and fail(prob_.n, h):
+            out = always_fail(prob_, zhat_, beta0, h, tol, zw)
+        else:
+            out = real(prob_, zhat_, beta0, h, tol, zw)
+        calls.append((prob_.n, out[1]))
+        return out
+
+    monkeypatch.setattr(solver_mod, "_damped_newton", spy)
 
 
 @settings(max_examples=40, deadline=None)
@@ -604,110 +632,80 @@ def test_band_root_is_the_full_homotopy_root(seed, kind, tau, scale):
     h *= scale
     full = full_homotopy(prob, zhat, h)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solver_mod, "BAND_MIN_ROWS", 500)
-        band = solve_see(prob, zhat, h)
-    assert band.h_used == full.h_used == h
-    assert band.diag.converged and band.diag.band_rounds >= 1
-    assert 0 < band.diag.band_rows < prob.n
-    tol = tol_residual(prob, zhat)
-    assert np.max(np.abs(see_residual(prob, zhat, band.beta, h))) <= tol
-    # two roots within tolerance differ by at most J^-1 times twice the tolerance
-    J_inv = np.linalg.inv(see_jacobian(prob, zhat, full.beta, h))
-    assert np.max(np.abs(band.beta - full.beta)) <= 2.0 * tol * np.linalg.norm(J_inv, np.inf)
+        mp.setattr(solver_mod, "SUBSAMPLE_MIN_ROWS", 500)
+        sub = solve_see(prob, zhat, h)
+    assert sub.h_used == full.h_used == h
+    assert sub.diag.converged
+    assert_near_root(prob, zhat, h, sub.beta, full.beta)
 
 
-def test_band_root_comes_from_the_band(monkeypatch):
-    prob, zhat, h = band_design(3, "reference", 0.25)
+def test_subsample_start_at_the_shipped_threshold(monkeypatch):
+    prob, zhat, h = band_design(21, "reference", 0.25, n=solver_mod.SUBSAMPLE_MIN_ROWS)
+    full = full_homotopy(prob, zhat, h)
     calls = []
     spy_newton(monkeypatch, calls)
+    rows = homotopy_rows(monkeypatch)
     sol = solve_see(prob, zhat, h)
-    assert sol.diag.band_rounds == 0 and sol.diag.band_rows == 0
-    calls.clear()
-    monkeypatch.setattr(solver_mod, "BAND_MIN_ROWS", 500)
-    rows = count_iv_rows(monkeypatch)
-    band = solve_see(prob, zhat, h)
-    # one IV start, on the subsample; the last stage on the band
-    assert rows == [subsample_rows(prob)]
-    assert calls[-1][0] == band.diag.band_rows + 2
-    assert band.diag.band_rounds == 1
-    assert band.diag.iterations == sum(c[1] for c in calls)
-    assert band.diag.homotopy_stages == len(calls)
-    assert band.diag.final_residual_inf_norm == np.max(
-        np.abs(see_residual(prob, zhat, band.beta, h)))
+    # the homotopy runs once, on every other row; one Newton stage on all rows follows
+    assert rows == [prob.n // 2]
+    assert [n for n, _ in calls].count(prob.n) == 1 and calls[-1][0] == prob.n
+    assert sol.h_used == full.h_used == h
+    assert sol.diag.iterations == sum(c[1] for c in calls)
+    assert sol.diag.homotopy_stages == len(calls)
+    assert sol.diag.final_residual_inf_norm == np.max(
+        np.abs(see_residual(prob, zhat, sol.beta, h)))
+    assert_near_root(prob, zhat, h, sol.beta, full.beta)
 
 
-def spy_newton(monkeypatch, calls, fail_on_rows=None):
-    """Record (rows, iterations) of every Newton stage; fail the stages on
-    problems whose row count ``fail_on_rows`` accepts."""
-    real = solver_mod._damped_newton
-
-    def spy(prob_, zhat_, beta0, h, tol, zw=None):
-        if fail_on_rows is not None and fail_on_rows(prob_.n):
-            out = always_fail(prob_, zhat_, beta0, h, tol, zw)
-        else:
-            out = real(prob_, zhat_, beta0, h, tol, zw)
-        calls.append((prob_.n, out[1]))
-        return out
-
-    monkeypatch.setattr(solver_mod, "_damped_newton", spy)
-
-
-@pytest.mark.parametrize("full_check", ["kept", "blinded"])
-def test_narrow_band_widens(monkeypatch, full_check):
-    prob, zhat, h = band_design(11, "reference", 0.25)
-    monkeypatch.setattr(solver_mod, "BAND_WIDTH", 1.0)
-    monkeypatch.setattr(solver_mod, "BAND_MIN_ROWS", 500)
-    if full_check == "blinded":
-        # the full-data moment reads zero, so only the rule that no collapsed
-        # row may sit in the window is left to reject a band
-        real = solver_mod.see_residual
-        monkeypatch.setattr(
-            solver_mod, "see_residual",
-            lambda p, z, b, h_, v=None, zw=None: np.zeros(p.p) if p is prob else real(p, z, b, h_, v, zw),
-        )
-    rows = count_iv_rows(monkeypatch)
-    calls = []
-    spy_newton(monkeypatch, calls)
-    sol = solve_see(prob, zhat, h)
-    assert rows == [subsample_rows(prob)], "fell back to the full homotopy"
-    assert sol.diag.band_rounds > 1
-    bands = [n for n, _ in calls if n not in (rows[0], prob.n)]
-    assert len(bands) == sol.diag.band_rounds
-    assert all(b > 1.5 * a for a, b in zip(bands, bands[1:])), "the band did not widen"
-    assert sol.h_used == h
-    assert np.max(np.abs(see_residual(prob, zhat, sol.beta, h))) <= tol_residual(prob, zhat)
-
-
-@pytest.mark.parametrize("failure", ["band_newton", "never_accepted", "subsample"])
+@pytest.mark.parametrize("failure", ["subsample", "subsample_target", "full_stage"])
 def test_failed_band_falls_back_to_the_full_homotopy(monkeypatch, failure):
     prob, zhat, h = band_design(5, "weighted", 0.3)
     today = full_homotopy(prob, zhat, h)
-    monkeypatch.setattr(solver_mod, "BAND_MIN_ROWS", 500)
+    monkeypatch.setattr(solver_mod, "SUBSAMPLE_MIN_ROWS", 500)
     calls, sub = [], subsample_rows(prob)
-    if failure == "band_newton":
-        spy_newton(monkeypatch, calls, fail_on_rows=lambda n: n not in (sub, prob.n))
-    elif failure == "never_accepted":
-        monkeypatch.setattr(solver_mod, "BAND_WIDTH", 1.0)
-        monkeypatch.setattr(solver_mod, "MAX_BAND_ROUNDS", 1)
-        spy_newton(monkeypatch, calls)
+    if failure == "subsample":
+        fail = lambda n, h_s: n == sub
+    elif failure == "subsample_target":
+        # the subsample converges only above the request
+        fail = lambda n, h_s: n == sub and h_s == h
     else:
-        spy_newton(monkeypatch, calls, fail_on_rows=lambda n: n == sub)
+        # the full-data stage from the subsample root, the first on all rows
+        fail = lambda n, h_s: n == prob.n and all(c[0] == sub for c in calls)
+    spy_newton(monkeypatch, calls, fail)
     sol = solve_see(prob, zhat, h)
     assert np.array_equal(sol.beta, today.beta)
     assert sol.h_used == today.h_used
     assert sol.diag.final_residual_inf_norm == today.diag.final_residual_inf_norm
     assert sol.diag.bandwidth_escalations == today.diag.bandwidth_escalations
-    # the band's work is counted with the homotopy's
+    # the subsample's work, and the failed full-data stage, are counted with the homotopy's
     assert sol.diag.iterations == sum(c[1] for c in calls)
     assert sol.diag.homotopy_stages == len(calls) > today.diag.homotopy_stages
-    assert sol.diag.band_rounds == (0 if failure == "subsample" else 1)
+    full_stages = [c for c in calls if c[0] == prob.n]
+    assert len(full_stages) == today.diag.homotopy_stages + (failure == "full_stage")
+
+
+def test_zero_weight_subsample_falls_back(monkeypatch):
+    # every sampled row has weight zero, so the subsample is not a valid problem
+    prob, _, h = band_design(6, "reference", 0.5)
+    w = np.ones(prob.n)
+    w[::prob.n // 500 + 1] = 0.0
+    prob = prob.reweighted(w)
+    zhat = project_instruments(prob)
+    today = full_homotopy(prob, zhat, h)
+    monkeypatch.setattr(solver_mod, "SUBSAMPLE_MIN_ROWS", 500)
+    rows = homotopy_rows(monkeypatch)
+    sol = solve_see(prob, zhat, h)
+    assert rows == [prob.n]
+    assert np.array_equal(sol.beta, today.beta)
+    assert sol.diag == today.diag
 
 
 def test_band_solve_is_bitwise_deterministic(monkeypatch):
     prob, zhat, h = band_design(8, "t3", 0.7)
-    monkeypatch.setattr(solver_mod, "BAND_MIN_ROWS", 500)
+    monkeypatch.setattr(solver_mod, "SUBSAMPLE_MIN_ROWS", 500)
+    rows = homotopy_rows(monkeypatch)
     s1, s2 = solve_see(prob, zhat, h), solve_see(prob, zhat, h)
-    assert s1.diag.band_rounds >= 1
+    assert rows == [subsample_rows(prob)] * 2
     assert np.array_equal(s1.beta, s2.beta)
     assert s1.h_used == s2.h_used
     assert s1.diag == s2.diag
@@ -727,14 +725,14 @@ def test_band_is_not_built_off_the_large_cold_path(monkeypatch, path):
             return (always_fail if len(stages) == 1 else newton)(*args)
 
         monkeypatch.setattr(solver_mod, "_damped_newton", fail_warm_stage)
-    built = []
-    real = solver_mod._band_problem
-    monkeypatch.setattr(solver_mod, "_band_problem", lambda *a: built.append(1) or real(*a))
-    monkeypatch.setattr(solver_mod, "BAND_MIN_ROWS", prob.n + 1 if path == "below_threshold" else 500)
+    rows = homotopy_rows(monkeypatch)
+    monkeypatch.setattr(solver_mod, "SUBSAMPLE_MIN_ROWS",
+                        prob.n + 1 if path == "below_threshold" else 500)
     sol = solve_see(prob, zhat, h, beta_init)
-    assert built == []
-    assert sol.diag.band_rows == 0 and sol.diag.band_rounds == 0
+    assert sol.diag.converged
+    assert rows == ([] if path == "warm" else [prob.n])
     if path == "below_threshold":
-        monkeypatch.setattr(solver_mod, "BAND_MIN_ROWS", prob.n)
-        assert solve_see(prob, zhat, h).diag.band_rounds == 1
-        assert built == [1]
+        monkeypatch.setattr(solver_mod, "SUBSAMPLE_MIN_ROWS", prob.n)
+        rows.clear()
+        solve_see(prob, zhat, h)
+        assert rows == [subsample_rows(prob, prob.n)]
