@@ -3,7 +3,8 @@
 The indicator inside the quantile moment conditions is replaced by a
 piecewise-linear ramp over a data-driven bandwidth, which turns the problem
 into a smooth root-finding exercise: fast to solve, and with enough
-regularity for plug-in bandwidths and kernel-based standard errors.
+regularity for plug-in bandwidths and for sandwich standard errors built
+from the solver's own Jacobian.
 """
 
 from ivqr.bandwidth import (

@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from ivqr.bandwidth import BandwidthReport, fit_with_plugin
+from ivqr.bandwidth import BandwidthReport, fit_with_plugin, plug_in_bandwidth
 from ivqr.inference import analytic_covariance, bayesian_bootstrap
 from ivqr.model import EstimationProblem, FitResult
 from ivqr.projection import project_instruments
-from ivqr.solver import solve_see
+from ivqr.solver import residuals, solve_see
 
 DEFAULT_SEED = 112358
 
@@ -26,8 +26,10 @@ def fit(
 
     ``bandwidth=None`` selects the plug-in rule with one refinement pass; a
     number requests that bandwidth directly (0 means the smallest feasible)
-    and bypasses selection entirely.  ``reps=0`` uses the analytic sandwich
-    covariance, ``reps >= 2`` the Bayesian bootstrap.
+    and bypasses selection for the solve.  ``reps=0`` uses the analytic
+    sandwich of the solved equations (:func:`~ivqr.inference.analytic_covariance`),
+    its Jacobian at max(h_used, plug-in request), so a manual bandwidth costs
+    one plug-in pass; ``reps >= 2`` the Bayesian bootstrap.
 
     The returned ``beta`` is the root of the smoothed equations at
     ``bandwidth.h_used``, not a bias-corrected estimate.  It therefore
@@ -46,7 +48,10 @@ def fit(
         beta, diag = sol.beta, sol.diag
         report = BandwidthReport(h_requested=float(bandwidth), h_used=sol.h_used)
     if reps == 0:
-        cov_est = analytic_covariance(prob, beta)
+        h_jac = report.h_used  # on the plug-in path, never below the request
+        if bandwidth is not None:
+            h_jac = max(h_jac, plug_in_bandwidth(prob, residuals(prob, beta)).h_requested)
+        cov_est = analytic_covariance(prob, zhat, beta, report.h_used, h_jac)
     else:
         cov_est = bayesian_bootstrap(
             prob, zhat, report.h_used, beta, reps=reps, seed=seed, progress=progress

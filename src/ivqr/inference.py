@@ -1,67 +1,60 @@
-"""Covariance estimation: analytic sandwich and Bayesian bootstrap."""
+"""Covariance estimation: the solver's own sandwich and the Bayesian bootstrap."""
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from ivqr.bandwidth import normal_pdf, robust_sigma
-from ivqr.exceptions import ConvergenceError, EstimationError, SingularMatrixError
+from ivqr.exceptions import ConvergenceError, SingularMatrixError
 from ivqr.model import EstimationProblem
 from ivqr.projection import solve_nonsingular
-from ivqr.solver import solve_see
+from ivqr.solver import residuals, see_jacobian, solve_see
 
 
 @dataclass(frozen=True)
 class CovarianceEstimate:
     """Covariance matrix of the coefficient estimates.
 
-    ``kind`` is "analytic" or "bootstrap"; ``reps_used`` counts successful
-    bootstrap replications (zero on the analytic path); ``kernel_bandwidth``
-    is the Gaussian-kernel bandwidth of the analytic Jacobian estimate (None
-    for the bootstrap).
+    ``kind`` is "analytic" (the sandwich J^{-1} S J^{-T} / n of
+    :func:`analytic_covariance`) or "bootstrap"; ``reps_used`` counts
+    successful bootstrap replications (zero on the analytic path).
     """
 
     cov: np.ndarray
     kind: str
     reps_used: int
-    kernel_bandwidth: Optional[float]
 
 
-def analytic_covariance(prob: EstimationProblem, beta_hat) -> CovarianceEstimate:
-    """Kernel-based sandwich covariance of the smoothed-equation estimator.
+def analytic_covariance(
+    prob: EstimationProblem, zhat: np.ndarray, beta_hat, h_used: float, h_jacobian: float
+) -> CovarianceEstimate:
+    """Sandwich covariance J^{-1} S J^{-T} / n of the smoothed equations
+    Zhat'psi = 0 that ``beta_hat`` solves at ``h_used``.
 
-    S = tau(1-tau) (1/n) sum w_i z_i z_i' and
-    J = (1/(n h)) sum w_i phi(e_i/h) z_i x_i' with the full q-column
-    instrument matrix and a Gaussian kernel; the covariance is
-    (J' S^{-1} J)^{-1} / n, symmetrized.  The kernel bandwidth is the
-    Silverman rule 1.06 n^{-1/5} min(SD, IQR/1.349) on the residuals.
-    Weights are normalized to unit mean first so that rescaling all weights
-    never changes reported uncertainty.
+    S = (1/n) sum w~_i ((1/2 - tau) - clip(v_i, -h, h)/(2h))^2 zhat_i zhat_i'
+    at h = ``h_used``, with v = y - X beta_hat and w~ = w / mean(w), so
+    rescaling all weights never moves the result.  J is the solver's own
+    :func:`~ivqr.solver.see_jacobian` at ``h_jacobian``, over mean(w); ``fit``
+    passes max(h_used, plug-in request), since a window as thin as a tiny
+    manual bandwidth is no density estimate.  Raises
+    :class:`SingularMatrixError` when J is singular, e.g. with no
+    observation inside the window.
     """
     beta_hat = np.asarray(beta_hat, dtype=float).ravel()
-    eps = prob.y - prob.X @ beta_hat
-    h_se = 1.06 * prob.n ** (-0.2) * robust_sigma(eps)
-    wn = prob.w / prob.w.mean()
-    tau = prob.tau
-    n = prob.n
-    Z, X = prob.Z, prob.X
-
-    S = tau * (1.0 - tau) * (Z * wn[:, None]).T @ Z / n
-    kern = normal_pdf(eps / h_se)
-    J = (Z * (wn * kern)[:, None]).T @ X / (n * h_se)
-    if np.max(np.abs(J)) < 1e-300:
-        raise EstimationError(
-            "kernel Jacobian is numerically zero; the bandwidth collapsed or the "
-            "estimate sits far from the data"
-        )
-    A = J.T @ solve_nonsingular(S, J, "instrument outer-product matrix is singular")
-    cov = solve_nonsingular(A, np.eye(prob.p), "sandwich middle matrix J'S^{-1}J is singular") / n
+    w_mean = prob.w.mean()
+    v = residuals(prob, beta_hat)
+    J = see_jacobian(prob, zhat, beta_hat, h_jacobian, v=v) / w_mean
+    psi = np.clip(v, -h_used, h_used, out=v)
+    psi *= -0.5 / h_used
+    psi += 0.5 - prob.tau
+    S = (zhat * (psi * psi * (prob.w / w_mean))[:, None]).T @ zhat / prob.n
+    J_inv = solve_nonsingular(J, np.eye(prob.p), "Jacobian of the smoothed equations is "
+                              "singular; too few observations sit inside the smoothing window")
+    cov = J_inv @ S @ J_inv.T / prob.n
     cov = 0.5 * (cov + cov.T)
-    return CovarianceEstimate(cov=cov, kind="analytic", reps_used=0, kernel_bandwidth=h_se)
+    return CovarianceEstimate(cov=cov, kind="analytic", reps_used=0)
 
 
 def bayesian_bootstrap(
@@ -128,6 +121,4 @@ def bayesian_bootstrap(
     cov = np.cov(good, rowvar=False, ddof=1)
     cov = np.atleast_2d(cov)
     cov = 0.5 * (cov + cov.T)
-    return CovarianceEstimate(
-        cov=cov, kind="bootstrap", reps_used=int(ok.sum()), kernel_bandwidth=None
-    )
+    return CovarianceEstimate(cov=cov, kind="bootstrap", reps_used=int(ok.sum()))

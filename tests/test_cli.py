@@ -219,6 +219,18 @@ def test_zero_bandwidth_requests_smallest_feasible(demo_csv, tmp_path, capsys):
     doc = json.loads(out_json.read_text())
     assert doc["bwidth_req"] == 0.0
     assert doc["bwidth"] > 0.0
+    # the smallest feasible root interpolates p rows, so a Jacobian taken in
+    # its window alone would report standard errors near zero; the sandwich
+    # takes it at the plug-in request instead, close to a plug-in fit's
+    plug_json = tmp_path / "plug.json"
+    code, out, err = run_cli(
+        ["--data", demo_csv, "--y", "wage", "--endog", "educ", "--iv", "dist",
+         "--quantile", "0.5", "--json", str(plug_json)],
+        capsys,
+    )
+    assert code == EXIT_OK
+    ratio = np.array(doc["se"]) / np.array(json.loads(plug_json.read_text())["se"])
+    assert np.all((ratio > 1 / 1.5) & (ratio < 1.5)), ratio
 
 
 def test_exogenous_column_allowed_in_iv_list(demo_csv, capsys):
@@ -255,7 +267,7 @@ def test_log_iterations_leave_out_bootstrap_draws(demo_csv, capsys):
 def test_numeric_failure_keeps_iteration_lines_and_detaches_logger(
     demo_csv, capsys, monkeypatch
 ):
-    def fail(prob, beta):
+    def fail(prob, zhat, beta_hat, h_used, h_jacobian):
         raise EstimationError("covariance failed on purpose")
 
     monkeypatch.setattr(ivqr.estimate, "analytic_covariance", fail)
