@@ -32,6 +32,18 @@ _DEGENERATE_TOL = 1e-12
 # variance over squared-bias constant of the ramp smoother in the plug-in rule
 _SMOOTH = smoothing_constants()
 _VAR_BIAS_RATIO = _SMOOTH.one_minus_int_G2 / _SMOOTH.int_Gprime_v2_sq
+# quartiles of at least this many rows are found by bracketing; below it
+# np.quantile is as fast.  Measured per [0.25, 0.75] call on t3 values
+# (2-core Xeon, median of 15 calls, np.quantile -> bracketed): 0.83 -> 0.93
+# ms at n = 5e4, 2.1 -> 1.6 ms at 1e5, 22.5 -> 6.4 ms at 1e6.
+QUARTILE_BRACKET_MIN_ROWS = 50_000
+# every QUARTILE_STRIDE-th row forms the sorted subsample that places each
+# bracket, QUARTILE_PAD * sqrt(m) subsample ranks to either side of the
+# quartile's rank (about 7 standard deviations of a subsample quartile's
+# rank).  At n = 1e6 each bracket holds about 4% of the rows; strides 25-100
+# and pads 2-4 measured within 7-11 ms per call.
+QUARTILE_STRIDE = 50
+QUARTILE_PAD = 3.0
 
 
 class BandwidthCandidates(NamedTuple):
@@ -80,11 +92,49 @@ def normal_pdf(x):
     return np.exp(-0.5 * x * x) / _SQRT_2PI
 
 
+def quartiles(x) -> np.ndarray:
+    """``np.quantile(x, [0.25, 0.75])``, equal to it under ``==``.
+
+    From ``QUARTILE_BRACKET_MIN_ROWS`` rows on, each quartile is bracketed
+    by order statistics of a strided subsample (Floyd & Rivest 1975): the
+    rows below the bracket are counted, and only the rows inside it are
+    partitioned, at the two order statistics that the linear rule
+    interpolates.  numpy interpolates them, so the arithmetic is its own.
+    When a bracket misses those ranks, or holds a NaN, ``np.quantile`` runs
+    on all of ``x``.  ``x`` is never written.
+    """
+    x = np.asarray(x, dtype=float).ravel()
+    n = x.shape[0]
+    if n < QUARTILE_BRACKET_MIN_ROWS:
+        return np.quantile(x, [0.25, 0.75])
+    sub = np.sort(x[::QUARTILE_STRIDE])
+    m = sub.shape[0]
+    pad = QUARTILE_PAD * np.sqrt(m)
+    out = np.empty(2)
+    for j, p in enumerate((0.25, 0.75)):
+        pos = p * (n - 1)
+        k = int(pos)
+        lo = sub[max(int(p * (m - 1) - pad), 0)]
+        hi = sub[min(int(p * (m - 1) + pad) + 1, m - 1)]
+        below = x < lo
+        # NaN compares false both ways, so every NaN lands inside
+        inside = x[~(below | (x > hi))]
+        i = k - np.count_nonzero(below)
+        if not 0 <= i < inside.shape[0] - 1 or np.isnan(inside).any():
+            return np.quantile(x, [0.25, 0.75])
+        inside.partition([i, i + 1])
+        out[j] = np.quantile(inside[i : i + 2], pos - k)
+    return out
+
+
 def robust_sigma(resid) -> float:
     """Robust residual scale: min of the sample SD and IQR/1.349.
 
-    Quantiles use linear interpolation.  A zero interquartile range falls
-    back to the standard deviation; fully degenerate residuals raise.
+    The quartiles are exact linear-interpolation quartiles, equal to
+    ``np.quantile``'s; on ``QUARTILE_BRACKET_MIN_ROWS`` rows or more
+    :func:`quartiles` finds them by bracketing instead of partitioning every
+    row.  A zero interquartile range falls back to the standard deviation;
+    fully degenerate residuals raise.
     """
     resid = np.asarray(resid, dtype=float).ravel()
     if resid.shape[0] < 2:
@@ -92,7 +142,7 @@ def robust_sigma(resid) -> float:
     sd = float(np.std(resid, ddof=1))
     if sd == 0.0:
         raise ValueError("residuals are all identical; scale is degenerate")
-    q25, q75 = np.quantile(resid, [0.25, 0.75])
+    q25, q75 = quartiles(resid)
     iqr = float(q75 - q25)
     if iqr > 0.0:
         return min(sd, iqr / 1.349)
@@ -131,22 +181,35 @@ def b_star(n: int, sigma: float, tau: float) -> float:
 
 
 def kde_f0(resid, s: float) -> float:
-    """Gaussian kernel density estimate of the residual density at zero."""
+    """Gaussian kernel density estimate of the residual density at zero.
+
+    The sum of normal_pdf(-resid / s), computed in one fresh array.
+    """
     resid = np.asarray(resid, dtype=float).ravel()
     n = resid.shape[0]
-    return float(np.sum(normal_pdf(-resid / s)) / (n * s))
+    k = np.divide(resid, -s)
+    np.square(k, out=k)
+    k *= -0.5
+    np.exp(k, out=k)
+    k /= _SQRT_2PI
+    return float(np.sum(k) / (n * s))
 
 
 def kde_fprime0(resid, b: float) -> float:
     """Gaussian kernel estimate of the residual density derivative at zero.
 
-    Uses K'(u) = -u phi(u) evaluated at -resid/b.
+    Uses K'(u) = -u phi(u) evaluated at u = -resid/b, computed in two fresh
+    arrays: -u beside phi(u).
     """
     resid = np.asarray(resid, dtype=float).ravel()
     n = resid.shape[0]
-    u = -resid / b
-    kprime = -u * normal_pdf(u)
-    return float(np.sum(kprime) / (n * b * b))
+    neg_u = np.divide(resid, b)
+    k = np.square(neg_u)
+    k *= -0.5
+    np.exp(k, out=k)
+    k /= _SQRT_2PI
+    k *= neg_u
+    return float(np.sum(k) / (n * b * b))
 
 
 def plug_in_bandwidth(prob: EstimationProblem, resid) -> BandwidthReport:

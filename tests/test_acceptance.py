@@ -17,6 +17,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from conftest import record_criterion
+from oracles import brute_force_qr_oracle, winsorized_mean_oracle
 from scipy.integrate import quad
 from scipy.special import ndtri
 
@@ -25,12 +26,7 @@ from ivqr.cli import EXIT_OK, main
 from ivqr.estimate import fit
 from ivqr.model import EstimationProblem, build_problem
 from ivqr.projection import iv_estimate, project_instruments
-from ivqr.simulation import (
-    brute_force_qr_oracle,
-    generate,
-    reference_dgp,
-    winsorized_mean_oracle,
-)
+from ivqr.simulation import generate, reference_dgp
 from ivqr.solver import see_jacobian, see_residual, solve_see, tol_residual
 
 TAUS = (0.25, 0.5, 0.75)

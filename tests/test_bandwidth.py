@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.stats import gaussian_kde, norm
 
 import ivqr.bandwidth as bandwidth_mod
@@ -11,7 +13,9 @@ from ivqr.bandwidth import (
     fit_with_plugin,
     kde_f0,
     kde_fprime0,
+    normal_pdf,
     plug_in_bandwidth,
+    quartiles,
     robust_sigma,
     s_star,
 )
@@ -64,6 +68,88 @@ def test_robust_sigma_degenerate_inputs():
         robust_sigma(np.ones(10))
     with pytest.raises(ValueError, match="at least two"):
         robust_sigma([1.0])
+
+
+# ------------------------------------------------------ exact quartiles
+
+# with these constants patched in, arrays of a few hundred rows take the
+# bracket path and its brackets are narrower than the data
+SMALL_MIN_ROWS = 64
+SMALL_STRIDE = 4
+
+
+def bracketed_quartiles(x, min_rows=SMALL_MIN_ROWS, stride=SMALL_STRIDE):
+    """quartiles(x) under the given constants, and whether np.quantile saw all of x."""
+    sizes = []
+    real = np.quantile
+
+    def spy(a, q):
+        sizes.append(np.size(a))
+        return real(a, q)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bandwidth_mod, "QUARTILE_BRACKET_MIN_ROWS", min_rows)
+        mp.setattr(bandwidth_mod, "QUARTILE_STRIDE", stride)
+        mp.setattr(np, "quantile", spy)
+        got = quartiles(x)
+    return got, x.size in sizes
+
+
+def assert_exact_quartiles(x):
+    before = x.copy()
+    got, full = bracketed_quartiles(x)
+    assert (got == np.quantile(x, [0.25, 0.75])).all()
+    assert x.tobytes() == before.tobytes()
+    return full
+
+
+sizes_around_threshold = st.integers(2, 6 * SMALL_MIN_ROWS)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=sizes_around_threshold, seed=st.integers(0, 2**32 - 1))
+def test_quartiles_equal_np_quantile_on_heavy_ties(n, seed):
+    x = np.random.default_rng(seed).integers(0, 3, size=n).astype(float)
+    assert_exact_quartiles(x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=sizes_around_threshold, data=st.data())
+def test_quartiles_equal_np_quantile_when_all_values_but_one_are_equal(n, data):
+    x = np.full(n, data.draw(st.floats(-1e6, 1e6)))
+    x[data.draw(st.integers(0, n - 1))] = data.draw(st.floats(-1e6, 1e6))
+    assert_exact_quartiles(x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=sizes_around_threshold, seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-6, 1e6))
+def test_quartiles_equal_np_quantile_on_t3_tails(n, seed, scale):
+    x = scale * np.random.default_rng(seed).standard_t(3, size=n)
+    assert_exact_quartiles(x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(SMALL_MIN_ROWS, 6 * SMALL_MIN_ROWS), seed=st.integers(0, 2**32 - 1))
+def test_quartiles_fall_back_when_every_strided_row_is_an_outlier(n, seed):
+    # the subsample holds only outliers, so neither bracket reaches the body
+    x = np.random.default_rng(seed).standard_normal(n)
+    x[::SMALL_STRIDE] = 1e9 + np.arange(x[::SMALL_STRIDE].size)
+    assert assert_exact_quartiles(x)
+
+
+@pytest.mark.parametrize("with_nan", [False, True])
+def test_quartiles_bracket_at_the_shipped_constants(with_nan):
+    n = bandwidth_mod.QUARTILE_BRACKET_MIN_ROWS
+    x = np.random.default_rng(12).standard_t(3, size=n)
+    if with_nan:
+        x[n // 2 + 1] = np.nan
+    before = x.copy()
+    got, full = bracketed_quartiles(
+        x, bandwidth_mod.QUARTILE_BRACKET_MIN_ROWS, bandwidth_mod.QUARTILE_STRIDE
+    )
+    np.testing.assert_array_equal(got, np.quantile(x, [0.25, 0.75]))
+    assert full == with_nan  # a NaN inside a bracket sends all rows to np.quantile
+    assert x.tobytes() == before.tobytes()
 
 
 # --------------------------------------------------------- sub-bandwidths
@@ -154,6 +240,20 @@ def test_kde_fprime0_sign():
     # residuals piled just above zero: density rises to the right
     assert kde_fprime0([0.5, 0.6, 0.7], 0.5) > 0
     assert kde_fprime0([-0.5, -0.6, -0.7], 0.5) < 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    resid=arrays(float, st.integers(1, 300), elements=st.floats(-1e6, 1e6)),
+    scale=st.floats(1e-6, 1e6),
+)
+def test_kernel_sums_equal_the_textbook_forms_bit_for_bit(resid, scale):
+    before = resid.copy()
+    n = resid.size
+    assert kde_f0(resid, scale) == np.sum(normal_pdf(-resid / scale)) / (n * scale)
+    u = -resid / scale
+    assert kde_fprime0(resid, scale) == np.sum(-u * normal_pdf(u)) / (n * scale * scale)
+    assert resid.tobytes() == before.tobytes()
 
 
 # ------------------------------------------------------- candidate report

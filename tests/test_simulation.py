@@ -4,6 +4,7 @@ import csv
 
 import numpy as np
 import pytest
+from oracles import brute_force_qr_oracle, winsorized_mean_oracle
 from scipy.optimize import brentq, linprog
 from scipy.stats import norm
 
@@ -13,12 +14,10 @@ from ivqr.simulation import (
     DgpSpec,
     LOCATION_SHIFT,
     RANDOM_COEFFICIENT,
-    brute_force_qr_oracle,
     generate,
     monte_carlo,
     monte_carlo_to_csv,
     reference_dgp,
-    winsorized_mean_oracle,
 )
 
 
