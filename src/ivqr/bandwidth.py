@@ -276,16 +276,16 @@ def fit_with_plugin(
 ) -> PluginFit:
     """Estimate with the plug-in bandwidth and one refinement pass.
 
-    First pass: bandwidth from the linear IV residuals (or the residuals at
-    ``beta_init`` when given), then solve.  Second pass: recompute the
-    plug-in from the first-pass residuals and re-solve, warm-started.  The
+    First pass: bandwidth from the linear IV residuals, then solve.  Second
+    pass: recompute the plug-in from the first-pass residuals and re-solve,
+    warm-started.  ``beta_init`` only starts the first solve, so it moves
+    neither bandwidth nor the estimate beyond solver tolerance.  The
     refinement runs exactly once; manually chosen bandwidths never enter this
     function.  The returned diagnostics cover both solves: iterations,
     homotopy stages and escalations are summed, and ``converged`` holds only
     if both converged.
     """
-    start = iv_estimate(prob, zhat) if beta_init is None else np.asarray(beta_init, float)
-    rep1 = plug_in_bandwidth(prob, residuals(prob, start))
+    rep1 = plug_in_bandwidth(prob, residuals(prob, iv_estimate(prob, zhat)))
     sol1 = solve_see(prob, zhat, rep1.h_requested, beta_init=beta_init)
     rep2 = plug_in_bandwidth(prob, residuals(prob, sol1.beta))
     sol2 = solve_see(prob, zhat, rep2.h_requested, beta_init=sol1.beta)

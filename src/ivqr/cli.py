@@ -58,7 +58,8 @@ def parse_args(argv) -> argparse.Namespace:
     parser.add_argument("--log-iterations", action="store_true",
                         help="print one solver line per Newton step to stderr")
     parser.add_argument("--initial", type=_comma_floats, default=None,
-                        help="comma-separated starting values for the coefficients")
+                        help="comma-separated starting values for the solver; they change "
+                        "neither the bandwidth nor the estimate beyond solver tolerance")
     parser.add_argument("--json", dest="json_path", default=None,
                         help="write results as JSON to this path")
     args = parser.parse_args(argv)

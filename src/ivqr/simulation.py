@@ -143,48 +143,58 @@ def monte_carlo(
 ) -> list[MonteCarloRow]:
     """Repeatedly generate and estimate; summarize bias, spread, and coverage.
 
-    Replication r of the study redraws the dataset with a substream keyed by
-    (spec.seed, r), runs the full estimation pipeline with analytic standard
-    errors, and records the estimates and their confidence intervals.
+    Replication r of the study draws one dataset with a substream keyed by
+    (spec.seed, r) and estimates it at every quantile level in ``taus`` with
+    the full pipeline and analytic standard errors, recording the estimates
+    and their confidence intervals.  On each dataset the level nearest 0.5
+    is solved cold; every other level, taken in order of distance from 0.5,
+    starts the solver from the estimate at the nearest level already solved
+    on that dataset, or runs cold when that fit failed.  Starting values do
+    not change the bandwidth or the estimate beyond solver tolerance.
     ``bandwidth`` and ``level`` are passed to :func:`fit` (``None`` selects
-    the plug-in bandwidth).  Failed replications are counted and excluded
-    from the summaries.
+    the plug-in bandwidth).  Failed fits are counted per level and excluded
+    from the summaries.  Rows come back in the order of ``taus``.
     """
-    rows = []
-    for tau in taus:
-        estimates = []
-        ses = []
-        covers = []
-        n_failed = 0
-        truth = None
-        for r in range(int(n_reps)):
-            rep_spec = replace(spec, seed=np.random.default_rng([spec.seed, r]).integers(2**63))
-            prob, true_beta_at = generate(rep_spec, tau=tau)
-            truth = true_beta_at(tau)
+    taus = [float(t) for t in taus]
+    n_reps = int(n_reps)
+    if n_reps < 2 or not taus:
+        raise ValueError(f"need n_reps >= 2 and at least one tau, got {n_reps} and {taus}")
+    order = sorted(range(len(taus)), key=lambda i: abs(taus[i] - 0.5))
+    fits = [[] for _ in taus]  # per level: (beta, se, covered) of each successful fit
+    for r in range(n_reps):
+        rep_spec = replace(spec, seed=np.random.default_rng([spec.seed, r]).integers(2**63))
+        base, true_beta_at = generate(rep_spec)
+        solved = {}  # level -> its estimate on this dataset, None if the fit failed
+        for i in order:
+            tau = taus[i]
+            near = min(solved, key=lambda t: abs(t - tau), default=None)
             try:
-                res = fit(prob, bandwidth=bandwidth, level=level, reps=0)
+                res = fit(replace(base, tau=tau), bandwidth=bandwidth, level=level, reps=0,
+                          beta_init=solved.get(near))
             except EstimationError:
-                n_failed += 1
+                solved[tau] = None
                 continue
-            estimates.append(res.beta)
+            solved[tau] = res.beta
+            truth = true_beta_at(tau)
             lo, hi = res.ci.T
-            ses.append(res.se)
-            covers.append((lo <= truth) & (truth <= hi))
-        if not estimates:
+            fits[i].append((res.beta, res.se, (lo <= truth) & (truth <= hi)))
+    rows = []
+    for tau, done in zip(taus, fits):
+        if not done:
             raise EstimationError(f"all {n_reps} replications failed at tau={tau}")
-        est = np.asarray(estimates)
-        bias = est - truth[None, :]
+        est, ses, covers = (np.asarray(a) for a in zip(*done))
+        bias = est - true_beta_at(tau)[None, :]
         rows.append(
             MonteCarloRow(
-                tau=float(tau),
+                tau=tau,
                 n=int(spec.n),
-                n_reps=int(n_reps),
-                n_failed=n_failed,
+                n_reps=n_reps,
+                n_failed=n_reps - len(done),
                 mean_bias=bias.mean(axis=0),
                 sd=est.std(axis=0, ddof=1),
                 rmse=np.sqrt((bias**2).mean(axis=0)),
-                analytic_se_mean=np.asarray(ses).mean(axis=0),
-                coverage=np.asarray(covers, dtype=float).mean(axis=0),
+                analytic_se_mean=ses.mean(axis=0),
+                coverage=covers.astype(float).mean(axis=0),
             )
         )
     return rows

@@ -66,8 +66,10 @@ def mc_battery():
 
     Replication r of each size uses a dataset seed drawn from a master
     stream keyed by (777 or 778, n); the same datasets are reused across
-    quantile levels (common random numbers).  Each fit records beta, the
-    bandwidth it solved at, its SEs and whether its interval covers the truth.
+    quantile levels (common random numbers).  The median is fitted cold and
+    the other levels start the solver from its estimate on the same dataset,
+    as ``monte_carlo`` does.  Each fit records beta, the bandwidth it solved
+    at, its SEs and whether its interval covers the truth.
     """
 
     def run(n_obs, master_key, n_reps=500):
@@ -78,8 +80,9 @@ def mc_battery():
         for seed in seeds:
             spec = replace(reference_dgp(n=n_obs), seed=seed)
             base, true_at = generate(spec, tau=0.5)
-            for t in TAUS:
-                res = fit(with_tau(base, t), bandwidth=None, level=0.95, reps=0)
+            for t in sorted(TAUS, key=lambda t: abs(t - 0.5)):
+                start = None if t == 0.5 else out[0.5]["beta"][-1]
+                res = fit(with_tau(base, t), bandwidth=None, level=0.95, reps=0, beta_init=start)
                 truth = true_at(t)
                 truths[t] = truth
                 out[t]["beta"].append(res.beta)

@@ -380,12 +380,22 @@ def test_plugin_fit_computes_iv_start_at_most_twice(monkeypatch):
     assert 1 <= len(calls) <= 2
 
 
-def test_warm_plugin_fit_skips_iv_start(monkeypatch):
+def test_starting_values_only_start_the_solver(monkeypatch):
+    # the first plug-in pass reads the IV residuals whatever the start, so a
+    # start moves neither bandwidth nor the estimate beyond solver tolerance
     prob = make_problem(tau=0.25, seed=25)
-    beta0 = fit(prob).beta
+    cold = fit(prob)
     calls = count_iv_calls(monkeypatch)
-    fit(prob, beta_init=beta0)
-    assert calls == []
+    # a start the direct Newton solve reaches needs only the plug-in's IV
+    # start; one it cannot reach adds the homotopy fallback's
+    for start, iv_starts in (([3.0, -2.0], 1), ([0.0, 0.0], 1), ([10.0, 10.0], 2)):
+        calls.clear()
+        warm = fit(prob, beta_init=start)
+        np.testing.assert_allclose(warm.beta, cold.beta, rtol=0, atol=1e-7)
+        for name in ("h_requested", "h_used"):
+            got, want = getattr(warm.bandwidth, name), getattr(cold.bandwidth, name)
+            assert got == pytest.approx(want, rel=1e-6, abs=0), (start, name)
+        assert len(calls) == iv_starts, start
 
 
 def test_plugin_constant_comes_from_smoothing_constants(monkeypatch):

@@ -1,6 +1,7 @@
 """Tests for the simulated designs, the slow oracles, and the study runner."""
 
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from oracles import brute_force_qr_oracle, winsorized_mean_oracle
 from scipy.optimize import brentq, linprog
 from scipy.stats import norm
 
+import ivqr.simulation as simulation_mod
+from ivqr.estimate import fit
 from ivqr.exceptions import EstimationError
 from ivqr.model import unsmoothed_moments
 from ivqr.simulation import (
@@ -250,3 +253,78 @@ def test_monte_carlo_fixed_bandwidth_setting():
     rows = monte_carlo(spec, taus=[0.25], n_reps=4, bandwidth=0.8)
     assert rows[0].n_reps == 4
     assert np.all(np.isfinite(rows[0].rmse))
+
+
+@pytest.mark.parametrize(
+    "taus, n_reps", [([0.5], 1), ([0.5], 0), ([], 5)], ids=["one-rep", "no-reps", "no-taus"]
+)
+def test_monte_carlo_rejects_degenerate_sizes_before_drawing(monkeypatch, taus, n_reps):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew a dataset")
+
+    monkeypatch.setattr(simulation_mod, "generate", no_draw)
+    with pytest.raises(ValueError, match="n_reps >= 2 and at least one tau"):
+        monte_carlo(reference_dgp(n=100, seed=3), taus=taus, n_reps=n_reps)
+
+
+def _cold_rows(spec, taus, n_reps, level=0.95):
+    """The study's rows from independent cold fits, one fresh draw per (r, tau)."""
+    rows = []
+    for tau in taus:
+        est, ses, covers = [], [], []
+        for r in range(n_reps):
+            rep_spec = replace(spec, seed=np.random.default_rng([spec.seed, r]).integers(2**63))
+            prob, true_beta_at = generate(rep_spec, tau=tau)
+            res = fit(prob, level=level)
+            truth = true_beta_at(tau)
+            est.append(res.beta)
+            ses.append(res.se)
+            covers.append((res.ci[:, 0] <= truth) & (truth <= res.ci[:, 1]))
+        bias = np.asarray(est) - truth
+        rows.append((tau, bias.mean(axis=0), np.std(est, axis=0, ddof=1),
+                     np.sqrt((bias**2).mean(axis=0)), np.mean(ses, axis=0),
+                     np.mean(covers, axis=0)))
+    return rows
+
+
+def test_monte_carlo_grid_equals_independent_cold_fits():
+    # warm starts only start the solver: the shared-draw grid reproduces
+    # cold per-tau fits on the same datasets, the far outer levels included
+    spec = reference_dgp(n=400, seed=8)
+    taus = (0.1, 0.25, 0.5, 0.75, 0.9)
+    rows = monte_carlo(spec, taus=taus, n_reps=6)
+    for row, (tau, bias, sd, rmse, se, cover) in zip(rows, _cold_rows(spec, taus, 6)):
+        assert row.tau == tau
+        assert row.n_failed == 0
+        for got, want in ((row.mean_bias, bias), (row.sd, sd), (row.rmse, rmse),
+                          (row.analytic_se_mean, se), (row.coverage, cover)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-8)
+
+
+def test_monte_carlo_rows_follow_the_callers_tau_order():
+    spec = reference_dgp(n=200, seed=9)
+    rows = monte_carlo(spec, taus=(0.75, 0.25, 0.5), n_reps=3)
+    assert [row.tau for row in rows] == [0.75, 0.25, 0.5]
+    by_tau = {row.tau: row for row in monte_carlo(spec, taus=(0.25, 0.5, 0.75), n_reps=3)}
+    for row in rows:
+        np.testing.assert_allclose(row.mean_bias, by_tau[row.tau].mean_bias, rtol=0, atol=1e-8)
+
+
+def test_monte_carlo_failed_median_fit_leaves_its_neighbours_cold(monkeypatch):
+    calls = []  # (replication, tau, started warm)
+
+    def flaky_fit(prob, **kwargs):
+        rep = sum(1 for _, t, _ in calls if t == 0.5) - (prob.tau != 0.5)
+        calls.append((rep, prob.tau, kwargs["beta_init"] is not None))
+        if rep == 1 and prob.tau == 0.5:
+            raise EstimationError("injected failure")
+        return fit(prob, **kwargs)
+
+    monkeypatch.setattr(simulation_mod, "fit", flaky_fit)
+    rows = monte_carlo(reference_dgp(n=200, seed=10), taus=(0.25, 0.5, 0.75), n_reps=3)
+    assert {row.tau: row.n_failed for row in rows} == {0.25: 0, 0.5: 1, 0.75: 0}
+    assert len(calls) == 9
+    for rep, tau, warm in calls:
+        # the median is solved cold first; its neighbours start from it
+        # unless its fit failed
+        assert warm == (tau != 0.5 and rep != 1), (rep, tau)
