@@ -72,6 +72,10 @@ def parse_args(argv) -> argparse.Namespace:
         raise ValueError(f"--level must lie strictly between 0 and 100, got {args.level}")
     if args.reps < 0:
         raise ValueError("--reps cannot be negative")
+    if args.reps == 1:
+        raise ValueError("--reps must be 0 (analytic standard errors) or at least 2")
+    if args.reps > 0 and args.seed < 0:
+        raise ValueError(f"--seed must be non-negative with --reps, got {args.seed}")
     if args.bandwidth is not None and (not np.isfinite(args.bandwidth) or args.bandwidth < 0):
         raise ValueError("--bandwidth must be a finite nonnegative number")
     for flag in ("exog", "endog", "iv"):

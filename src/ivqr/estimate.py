@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ivqr.bandwidth import BandwidthReport, fit_with_plugin, plug_in_bandwidth
-from ivqr.inference import analytic_covariance, bayesian_bootstrap
+from ivqr.inference import _check_bootstrap_args, analytic_covariance, bayesian_bootstrap
 from ivqr.model import EstimationProblem, FitResult
 from ivqr.projection import project_instruments
 from ivqr.solver import residuals, solve_see
@@ -29,7 +29,9 @@ def fit(
     and bypasses selection for the solve.  ``reps=0`` uses the analytic
     sandwich of the solved equations (:func:`~ivqr.inference.analytic_covariance`),
     its Jacobian at max(h_used, plug-in request), so a manual bandwidth costs
-    one plug-in pass; ``reps >= 2`` the Bayesian bootstrap.
+    one plug-in pass; ``reps >= 2`` the Bayesian bootstrap, whose ``reps``
+    and ``seed`` are checked before any work.  ``reps_used`` of the result
+    counts the bootstrap replications kept (0 on the analytic path).
 
     The returned ``beta`` is the root of the smoothed equations at
     ``bandwidth.h_used``, not a bias-corrected estimate.  It therefore
@@ -40,6 +42,8 @@ def fit(
     """
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must lie strictly between 0 and 1, got {level}")
+    if reps != 0:
+        reps, seed = _check_bootstrap_args(reps, seed)
     zhat = project_instruments(prob)
     if bandwidth is None:
         beta, report, diag = fit_with_plugin(prob, zhat, beta_init=beta_init)
@@ -64,4 +68,5 @@ def fit(
         n_obs=prob.n,
         vcov_kind=cov_est.kind,
         level=level,
+        reps_used=cov_est.reps_used,
     )

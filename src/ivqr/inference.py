@@ -10,7 +10,7 @@ import numpy as np
 from ivqr.exceptions import ConvergenceError, SingularMatrixError
 from ivqr.model import EstimationProblem
 from ivqr.projection import solve_nonsingular
-from ivqr.solver import residuals, see_jacobian, solve_see
+from ivqr.solver import _Workspace, residuals, see_jacobian, solve_see
 
 
 @dataclass(frozen=True)
@@ -57,6 +57,23 @@ def analytic_covariance(
     return CovarianceEstimate(cov=cov, kind="analytic", reps_used=0)
 
 
+def _check_bootstrap_args(reps, seed) -> tuple:
+    """``(reps, seed)`` as ints; ValueError naming the argument unless
+    ``reps`` is a whole number of at least 2 and ``seed`` a non-negative one."""
+    for name, value in (("reps", reps), ("seed", seed)):
+        try:
+            whole = int(value) == value
+        except (TypeError, ValueError, OverflowError):
+            whole = False
+        if not whole:
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    if reps < 2:
+        raise ValueError(f"bootstrap needs at least 2 replications, got {reps}")
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    return int(reps), int(seed)
+
+
 def bayesian_bootstrap(
     prob: EstimationProblem,
     zhat: np.ndarray,
@@ -79,19 +96,25 @@ def bayesian_bootstrap(
     covariance is the sample covariance of the kept estimates (denominator
     kept - 1).
 
+    Only the weights change between replications, so the residuals
+    y - X beta_hat and their window |v| < ``h_used`` (its rows and their
+    ``zhat`` and X rows) are computed once per call, for every replication's
+    first moment and Jacobian.  The draws refill one weight buffer and the
+    warm solves share one workspace (:class:`~ivqr.solver._Workspace`), so a
+    replication allocates no n-vector.
+
     Results are identical for any execution order because each substream
     depends only on (seed, r).  ``progress`` is called once per finished
     replication with the replication index.  The replications' Newton steps
     stay out of the ``ivqr.solver`` iteration log, which covers the point
     estimate.
     """
-    reps = int(reps)
-    if reps < 2:
-        raise ValueError(f"bootstrap needs at least 2 replications, got {reps}")
+    reps, seed = _check_bootstrap_args(reps, seed)
     if not h_used > 0:
         raise ValueError(f"h_used must be the point estimate's positive bandwidth, got {h_used}")
     beta_hat = np.asarray(beta_hat, dtype=float).ravel()
-    n = prob.n
+    start = _Workspace(prob, zhat, beta_hat, h_used)
+    w_r = np.empty(prob.n)
     betas = np.empty((reps, prob.p))
     ok = np.zeros(reps, dtype=bool)
     solver_log = logging.getLogger("ivqr.solver")
@@ -99,11 +122,11 @@ def bayesian_bootstrap(
     solver_log.setLevel(logging.INFO)
     try:
         for r in range(reps):
-            rng = np.random.default_rng([int(seed), r])
-            xi = rng.standard_exponential(n)
-            w_r = prob.w * (xi / xi.mean())
+            np.random.default_rng([seed, r]).standard_exponential(out=w_r)
+            w_r /= w_r.mean()
+            w_r *= prob.w
             try:
-                sol = solve_see(prob.reweighted(w_r), zhat, h_used, beta_init=beta_hat)
+                sol = solve_see(prob.reweighted(w_r), zhat, h_used, beta_init=start)
                 betas[r] = sol.beta
                 ok[r] = sol.h_used == h_used
             except (ConvergenceError, SingularMatrixError):

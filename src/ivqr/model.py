@@ -106,7 +106,10 @@ class EstimationProblem:
         and holds a read-only view of ``w``.  Nothing is checked, so ``w``
         must already be a finite, nonnegative float array of length n with a
         positive sum, as ``prob.w * xi / mean(xi)`` is for positive draws
-        ``xi``; the caller must not write to ``w`` afterwards.
+        ``xi``.  The copy reads ``w`` without copying it, so the caller must
+        not write to ``w`` while the copy is in use; once a solve on it has
+        returned, the caller may refill the same buffer for the next draw,
+        as :func:`~ivqr.inference.bayesian_bootstrap` does.
         """
         w = np.asarray(w, dtype=float).view()
         w.flags.writeable = False
@@ -252,7 +255,8 @@ class FitResult:
     """Point estimates with their covariance and run diagnostics.
 
     ``se`` and ``ci`` are not stored: they are derived from ``cov`` and
-    ``level`` on each access.
+    ``level`` on each access.  ``reps_used`` counts the bootstrap
+    replications behind a "bootstrap" ``cov`` (0 for "analytic").
     """
 
     beta: np.ndarray
@@ -262,6 +266,7 @@ class FitResult:
     solver: Any
     vcov_kind: str
     level: float
+    reps_used: int = 0
 
     def __post_init__(self):
         beta = np.asarray(self.beta, dtype=float).ravel()

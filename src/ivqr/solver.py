@@ -16,7 +16,9 @@ geometrically until the solve succeeds or the attempt budget runs out.
 Each Newton iterate forms the residual vector y - X beta once and shares it
 between the moment and the Jacobian; the moment is one matrix-vector product
 of clipped residuals, and the Jacobian sums over the rows inside the
-smoothing window only.
+smoothing window only.  Each Newton stage writes its n-vectors into one
+:class:`_Workspace`, so its iterates allocate none; the bootstrap shares one
+workspace, with the point estimate's residuals and window, across its draws.
 
 A cold solve on at least ``SUBSAMPLE_MIN_ROWS`` rows runs the homotopy on a
 strided subsample first and starts one full-data Newton stage from its root,
@@ -73,12 +75,44 @@ def residuals(prob: EstimationProblem, beta) -> np.ndarray:
     return np.subtract(prob.y, v, out=v)
 
 
+def _residuals_into(prob, beta, out):
+    """y - X beta, written into the n-vector ``out``."""
+    np.matmul(prob.X, np.asarray(beta, dtype=float).ravel(), out=out)
+    return np.subtract(prob.y, out, out=out)
+
+
+class _Workspace:
+    """The n-vectors a Newton stage writes: a residual buffer, a float
+    scratch for clipped or absolute residuals, and a bool window mask.  One
+    residual buffer is enough: an iterate's residuals are read only by its
+    Jacobian, before the line search writes candidates over them.
+
+    Built with ``beta`` and ``h`` it also holds a start shared by solves at
+    ``h`` on reweightings of ``prob`` (same y, X and ``zhat``, other
+    weights): ``beta``, its read-only residuals ``v`` and the rows, ``zhat``
+    rows and X rows of their window |v| < h, which each such solve's first
+    moment and Jacobian read.
+    """
+
+    def __init__(self, prob, zhat=None, beta=None, h=None):
+        self.beta, self.h, self.v, self.window = beta, h, None, None
+        if beta is not None:
+            self.v = residuals(prob, beta)
+            self.v.flags.writeable = False
+            rows = np.flatnonzero(np.abs(self.v) < h)
+            self.window = (rows, zhat.take(rows, axis=0), prob.X.take(rows, axis=0))
+        self.resid = np.empty(prob.n)
+        self.scratch = np.empty(prob.n)
+        self.mask = np.empty(prob.n, dtype=bool)
+
+
 def instrument_means(prob: EstimationProblem, zhat: np.ndarray) -> np.ndarray:
     """Weighted instrument means Zhat'w / n, the constant part of the moment."""
     return zhat.T @ prob.w / prob.n
 
 
-def see_residual(prob: EstimationProblem, zhat: np.ndarray, beta, h, v=None, zw=None):
+def see_residual(prob: EstimationProblem, zhat: np.ndarray, beta, h, v=None, zw=None, *,
+                 _ws=None):
     """Smoothed sample moment vector at ``beta`` with bandwidth ``h``.
 
     Uses itilde(v/h) - tau = (1/2 - tau) - clip(v, -h, h)/(2h), so the moment
@@ -86,30 +120,38 @@ def see_residual(prob: EstimationProblem, zhat: np.ndarray, beta, h, v=None, zw=
     weighted residuals.  Callers that already hold the residuals
     ``v = y - X beta`` or the instrument means ``zw`` (see
     :func:`instrument_means`) may pass them in; neither is modified.
+    ``_ws`` is the Newton loop's :class:`_Workspace`.
     """
     if v is None:
         v = residuals(prob, beta)
     if zw is None:
         zw = instrument_means(prob, zhat)
-    t = np.clip(v, -h, h)
+    t = np.clip(v, -h, h, out=None if _ws is None else _ws.scratch)
     t *= prob.w
     return (0.5 - prob.tau) * zw - zhat.T @ t / (2.0 * h * prob.n)
 
 
-def see_jacobian(prob: EstimationProblem, zhat: np.ndarray, beta, h, v=None):
+def see_jacobian(prob: EstimationProblem, zhat: np.ndarray, beta, h, v=None, *, _ws=None):
     """Derivative of :func:`see_residual` with respect to ``beta``.
 
     Only observations strictly inside the smoothing window contribute; the
     ramp has slope -1/2 there, which combined with the inner derivative
     -x_i/h gives (1/(2nh)) sum over the window of w_i zhat_i x_i'.  Only the
-    window rows are gathered and summed.  ``v`` is as in :func:`see_residual`.
+    window rows are gathered and summed.  ``v`` and ``_ws`` are as in
+    :func:`see_residual`; the window of a workspace's start is not found again.
     """
     if v is None:
         v = residuals(prob, beta)
-    rows = np.flatnonzero(np.abs(v) < h)
-    zw_in = zhat.take(rows, axis=0)
-    zw_in *= prob.w.take(rows)[:, None]
-    return zw_in.T @ prob.X.take(rows, axis=0) / (2.0 * prob.n * h)
+    if _ws is not None and v is _ws.v and h == _ws.h:
+        rows, zhat_in, x_in = _ws.window
+        zw_in = zhat_in * prob.w.take(rows)[:, None]
+    else:
+        scratch, mask = (None, None) if _ws is None else (_ws.scratch, _ws.mask)
+        rows = np.flatnonzero(np.less(np.abs(v, out=scratch), h, out=mask))
+        zw_in = zhat.take(rows, axis=0)
+        zw_in *= prob.w.take(rows)[:, None]
+        x_in = prob.X.take(rows, axis=0)
+    return zw_in.T @ x_in / (2.0 * prob.n * h)
 
 
 def tol_residual(prob: EstimationProblem, zhat: np.ndarray, zw=None) -> float:
@@ -119,7 +161,7 @@ def tol_residual(prob: EstimationProblem, zhat: np.ndarray, zw=None) -> float:
     return 1e-8 * (1.0 + np.max(np.abs(zw)))
 
 
-def _damped_newton(prob, zhat, beta0, h, tol, zw):
+def _damped_newton(prob, zhat, beta0, h, tol, zw, ws=None):
     """Newton iteration at fixed bandwidth.
 
     Returns (beta, n_iterations, converged, final_inf_norm).  Fails (without
@@ -127,29 +169,35 @@ def _damped_newton(prob, zhat, beta0, h, tol, zw):
     cannot reduce the residual norm after MAX_BACKTRACK halvings.  The
     residual vector y - X beta is formed once per iterate and per line-search
     candidate and shared by the moment and the Jacobian; ``zw`` is the
-    solve's :func:`instrument_means`.
+    solve's :func:`instrument_means`.  Every n-vector goes into ``ws``, a
+    :class:`_Workspace` whose start, if it holds one, is at ``beta0``, or
+    into one allocated here.
     """
+    if ws is None:
+        ws = _Workspace(prob)
     beta = np.asarray(beta0, dtype=float).copy()
-    v = residuals(prob, beta)
-    g = see_residual(prob, zhat, beta, h, v=v, zw=zw)
+    v = ws.v if ws.v is not None else _residuals_into(prob, beta, ws.resid)
+    g = see_residual(prob, zhat, beta, h, v=v, zw=zw, _ws=ws)
     for it in range(MAX_NEWTON_ITER):
-        gn = float(np.max(np.abs(g)))
+        # the p-vector checks call ndarray methods: at small n the np.max and
+        # np.all wrappers cost more than a stage's workspace
+        gn = float(abs(g).max())
         if gn <= tol:
             return beta, it, True, gn
-        J = see_jacobian(prob, zhat, beta, h, v=v)
+        J = see_jacobian(prob, zhat, beta, h, v=v, _ws=ws)
         try:
             step = np.linalg.solve(J, -g)
         except np.linalg.LinAlgError:
             return beta, it, False, gn
-        if not np.all(np.isfinite(step)):
+        if not np.isfinite(step).all():
             return beta, it, False, gn
         g2 = float(np.linalg.norm(g))
         lam = 1.0
         for _ in range(MAX_BACKTRACK + 1):
             cand = beta + lam * step
-            vc = residuals(prob, cand)
-            gc = see_residual(prob, zhat, cand, h, v=vc, zw=zw)
-            if np.all(np.isfinite(gc)) and float(np.linalg.norm(gc)) < g2:
+            vc = _residuals_into(prob, cand, ws.resid)
+            gc = see_residual(prob, zhat, cand, h, v=vc, zw=zw, _ws=ws)
+            if np.isfinite(gc).all() and float(np.linalg.norm(gc)) < g2:
                 break
             lam *= 0.5
         else:
@@ -160,7 +208,7 @@ def _damped_newton(prob, zhat, beta0, h, tol, zw):
                 "h=%.8g iter=%d resid_inf=%.3e step=%.3e",
                 h, it + 1, float(np.max(np.abs(g))), float(np.linalg.norm(lam * step)),
             )
-    gn = float(np.max(np.abs(g)))
+    gn = float(abs(g).max())
     return beta, MAX_NEWTON_ITER, gn <= tol, gn
 
 
@@ -172,9 +220,11 @@ def _ladder(top: float, target: float) -> list:
     return seq
 
 
-def _stage(prob, zhat, beta0, h, tol, zw, diag):
-    """One Newton stage at ``h``, counted in ``diag``: (beta, final norm), or None if it fails."""
-    beta, nit, ok, gn = _damped_newton(prob, zhat, beta0, h, tol, zw)
+def _stage(prob, zhat, beta0, h, tol, zw, diag, *ws):
+    """One Newton stage at ``h``, counted in ``diag``: (beta, final norm), or
+    None if it fails.  ``ws`` is empty or a workspace whose start is at
+    ``beta0``, passed on to :func:`_damped_newton`."""
+    beta, nit, ok, gn = _damped_newton(prob, zhat, beta0, h, tol, zw, *ws)
     diag.iterations += nit
     diag.homotopy_stages += 1
     return (beta, gn) if ok else None
@@ -209,6 +259,10 @@ def solve_see(
     at the requested bandwidth from that point (the warm-start path used for
     refinement and bootstrap replications); only if the direct solve fails
     does it compute the IV start and fall back to the full homotopy.
+    ``beta_init`` may also be a :class:`_Workspace` built on a problem that
+    ``prob`` reweights: the direct solve then starts from its beta and
+    residuals (and its window, when built at the request) and writes into
+    its buffers.
 
     A cold solve of a positive request on at least ``SUBSAMPLE_MIN_ROWS``
     rows first runs the homotopy above, without escalation, on every k-th
@@ -226,6 +280,9 @@ def solve_see(
     target0 = h_request if h_request > 0 else float(np.finfo(float).tiny)
     diag = SolverDiagnostics()
 
+    shared = ()
+    if isinstance(beta_init, _Workspace):
+        shared, beta_init = (beta_init,), beta_init.beta
     start = None
     if beta_init is not None:
         start = np.asarray(beta_init, dtype=float).ravel()
@@ -234,7 +291,7 @@ def solve_see(
     elif h_request > 0 and prob.n >= SUBSAMPLE_MIN_ROWS:
         start = _subsample_root(prob, zhat, target0, diag)
     if start is not None:
-        stage = _stage(prob, zhat, start, target0, tol, zw, diag)
+        stage = _stage(prob, zhat, start, target0, tol, zw, diag, *shared)
         if stage is not None:
             beta, diag.final_residual_inf_norm = stage
             return _converged(beta, target0, diag)

@@ -1,13 +1,18 @@
 """Slow-but-sure oracles the tests compare the estimator against.
 
-Each shares nothing with the Newton solver: a bisection for the
+Two share nothing with the Newton solver: a bisection for the
 intercept-only fixed point and an enumeration of exact fits for the
-check-function minimizer.
+check-function minimizer.  The bootstrap oracle shares the solver on
+purpose: it is the replication loop with nothing computed once per call,
+so the bootstrap must match it exactly.
 """
 
 from itertools import combinations
 
 import numpy as np
+
+from ivqr.exceptions import ConvergenceError, SingularMatrixError
+from ivqr.solver import solve_see
 
 
 def winsorized_mean_oracle(y, h: float, tau: float = 0.5) -> float:
@@ -80,3 +85,29 @@ def brute_force_qr_oracle(y, X, tau: float) -> np.ndarray:
     if best_beta is None:
         raise ValueError("no nonsingular p-point subset; design has no exact fits")
     return best_beta
+
+
+def bootstrap_oracle(prob, zhat, h_used, beta_hat, reps: int, seed: int):
+    """The Bayesian bootstrap one self-contained replication at a time.
+
+    Each replication draws fresh exponentials from the substream
+    (seed, r), builds a fresh weight vector and a reweighted problem, and
+    calls ``solve_see`` from ``beta_hat`` with nothing shared between
+    replications.  Returns (cov, reps_used) under the bootstrap's rules:
+    a draw that raises or escalates away from ``h_used`` is dropped, and
+    more than 5 percent dropped raises ``ConvergenceError``.
+    """
+    betas = []
+    for r in range(reps):
+        xi = np.random.default_rng([seed, r]).standard_exponential(prob.n)
+        w_r = prob.w * (xi / xi.mean())
+        try:
+            sol = solve_see(prob.reweighted(w_r), zhat, h_used, beta_init=beta_hat)
+        except (ConvergenceError, SingularMatrixError):
+            continue
+        if sol.h_used == h_used:
+            betas.append(sol.beta)
+    if reps - len(betas) > 0.05 * reps:
+        raise ConvergenceError(f"{reps - len(betas)} of {reps} bootstrap replications failed")
+    cov = np.atleast_2d(np.cov(np.array(betas), rowvar=False, ddof=1))
+    return 0.5 * (cov + cov.T), len(betas)

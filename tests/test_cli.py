@@ -661,6 +661,35 @@ def test_outcome_listed_as_a_regressor_or_instrument(demo_csv, capsys, flag, col
     assert out == ""
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--reps", "1"], "error: --reps must be 0 (analytic standard errors) or at least 2\n"),
+    (["--reps", "10", "--seed", "-1"], "error: --seed must be non-negative with --reps, got -1\n"),
+])
+def test_bootstrap_flags_checked_before_reading(demo_csv, monkeypatch, capsys, flags, message):
+    def no_read(config):
+        raise AssertionError("the CSV was read")
+
+    monkeypatch.setattr(ivqr.cli, "ingest_csv", no_read)
+    code, out, err = run_cli(
+        ["--data", demo_csv, "--y", "wage", "--endog", "educ", "--iv", "dist",
+         "--quantile", "0.5", *flags],
+        capsys,
+    )
+    assert code == EXIT_INPUT
+    assert err == message
+    assert out == ""
+
+
+def test_negative_seed_allowed_without_bootstrap(demo_csv, capsys):
+    code, out, err = run_cli(
+        ["--data", demo_csv, "--y", "wage", "--endog", "educ", "--iv", "dist",
+         "--quantile", "0.5", "--seed", "-1"],
+        capsys,
+    )
+    assert code == EXIT_OK, err
+    assert "vce: Robust" in out
+
+
 def test_initial_wrong_length(demo_csv, capsys):
     code, out, err = run_cli(
         ["--data", demo_csv, "--y", "wage", "--endog", "educ", "--iv", "dist",

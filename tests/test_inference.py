@@ -6,13 +6,16 @@ standard-normal regressors that is a fully closed form.
 """
 
 import itertools
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.stats import norm
 
+import ivqr.estimate as estimate_mod
 import ivqr.inference as inference_mod
+import ivqr.solver as solver_mod
 from ivqr.estimate import fit
 from ivqr.exceptions import ConvergenceError, EstimationError
 from ivqr.inference import CovarianceEstimate, analytic_covariance, bayesian_bootstrap
@@ -20,6 +23,7 @@ from ivqr.model import EstimationProblem, build_problem
 from ivqr.projection import project_instruments
 from ivqr.simulation import generate, reference_dgp
 from ivqr.solver import SeeSolution, solve_see
+from oracles import bootstrap_oracle
 
 
 def exogenous_problem(n, seed=0, tau=0.5):
@@ -253,6 +257,41 @@ def test_bootstrap_rejects_too_few_reps():
             bayesian_bootstrap(prob, zhat, 0.5, beta, reps=bad, seed=1)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"reps": 2.5, "seed": 1}, "reps must be an integer, got 2.5"),
+    ({"reps": float("nan"), "seed": 1}, "reps must be an integer"),
+    ({"reps": "10", "seed": 1}, "reps must be an integer"),
+    ({"reps": 10, "seed": -1}, "seed must be a non-negative integer, got -1"),
+    ({"reps": 10, "seed": 0.5}, "seed must be an integer, got 0.5"),
+])
+def test_bootstrap_rejects_non_integral_reps_and_negative_seed(monkeypatch, kwargs, message):
+    prob = iv_problem(100, seed=10)
+    zhat = project_instruments(prob)
+    beta = solve_see(prob, zhat, 0.5).beta
+    with pytest.raises(ValueError, match=message):
+        bayesian_bootstrap(prob, zhat, 0.5, beta, **kwargs)
+
+    # fit rejects them before any work
+    def no_work(prob):
+        raise AssertionError("the instruments were projected")
+
+    monkeypatch.setattr(estimate_mod, "project_instruments", no_work)
+    with pytest.raises(ValueError, match=message):
+        fit(prob, **kwargs)
+    with pytest.raises(ValueError, match="at least 2"):
+        fit(prob, reps=1)
+
+
+def test_bootstrap_accepts_integral_floats():
+    prob = iv_problem(100, seed=10)
+    zhat = project_instruments(prob)
+    beta = solve_see(prob, zhat, 0.5).beta
+    est = bayesian_bootstrap(prob, zhat, 0.5, beta, reps=12.0, seed=np.int64(3))
+    want = bayesian_bootstrap(prob, zhat, 0.5, beta, reps=12, seed=3)
+    np.testing.assert_array_equal(est.cov, want.cov)
+    assert est.reps_used == 12
+
+
 def test_bootstrap_rejects_a_bandwidth_no_draw_can_match():
     # solve_see reads h = 0 as "smallest feasible", so no draw would come
     # back at h_used = 0 exactly and every one would count as failed
@@ -337,3 +376,96 @@ def test_bootstrap_cov_shape_single_parameter():
     assert est.cov.shape == (1, 1)
     assert est.cov[0, 0] > 0
     assert isinstance(est, CovarianceEstimate)
+
+
+def test_fit_result_keeps_reps_used(monkeypatch):
+    prob = iv_problem(120, seed=14)
+    assert fit(prob).reps_used == 0
+    kept = escalate_draws(monkeypatch, {3, 17})
+    res = fit(prob, reps=40, seed=6)
+    assert res.vcov_kind == "bootstrap"
+    assert res.reps_used == len(kept) == 38
+
+
+# ----------------------------------------- bootstrap against its oracle
+
+
+def assert_bootstrap_matches_oracle(prob, reps, seed):
+    """``bayesian_bootstrap`` equals the per-replication oracle under ``==``,
+    and calls ``ivqr.inference.solve_see`` once per draw with a warm start."""
+    beta, zhat, h = point_estimate(prob)
+    real = inference_mod.solve_see
+    starts = []
+
+    def spy(p, z, h_, beta_init=None):
+        starts.append(beta_init is not None)
+        return real(p, z, h_, beta_init=beta_init)
+
+    inference_mod.solve_see = spy
+    try:
+        est = bayesian_bootstrap(prob, zhat, h, beta, reps=reps, seed=seed)
+    finally:
+        inference_mod.solve_see = real
+    assert starts == [True] * reps
+    cov, reps_used = bootstrap_oracle(prob, zhat, h, beta, reps, seed)
+    assert est.reps_used == reps_used
+    assert np.array_equal(est.cov, cov)
+    return est
+
+
+def test_bootstrap_matches_oracle_unweighted_exactly_identified():
+    est = assert_bootstrap_matches_oracle(iv_problem(300, seed=31), reps=30, seed=7)
+    assert est.reps_used == 30
+
+
+def test_bootstrap_matches_oracle_weighted_overidentified():
+    rng = np.random.default_rng(32)
+    n = 400
+    z = rng.normal(size=(n, 2))
+    d = z[:, 0] + 0.5 * z[:, 1] + 0.5 * rng.normal(size=n)
+    y = 1.0 + d + rng.normal(size=n)
+    prob = build_problem(y, raw_endog=d, raw_instr=z, weights=rng.uniform(0.2, 3.0, size=n),
+                         quantile=0.3)
+    assert prob.q > prob.p and not np.all(prob.w == 1.0)
+    assert_bootstrap_matches_oracle(prob, reps=30, seed=8)
+
+
+def test_bootstrap_matches_oracle_when_a_warm_solve_falls_back(monkeypatch):
+    # the warm Newton stage of draw 4 fails, so that draw is solved by the
+    # homotopy, in the bootstrap and in the oracle alike
+    prob = iv_problem(300, seed=33)
+    beta_hat = point_estimate(prob)[0]
+    xi = np.random.default_rng([9, 4]).standard_exponential(prob.n)
+    w_bad = prob.w * (xi / xi.mean())
+    real = solver_mod._damped_newton
+    failed = []
+
+    def newton(p, z, beta0, h, tol, zw, *ws):
+        if np.array_equal(beta0, beta_hat) and np.array_equal(p.w, w_bad):
+            failed.append(len(ws))
+            return np.array(beta0, dtype=float), 0, False, float("inf")
+        return real(p, z, beta0, h, tol, zw, *ws)
+
+    monkeypatch.setattr(solver_mod, "_damped_newton", newton)
+    est = assert_bootstrap_matches_oracle(prob, reps=20, seed=9)
+    # the bootstrap's warm stage brought its shared start, the oracle's did not
+    assert failed == [1, 0]
+    assert est.reps_used == 20
+
+
+def test_bootstrap_memory_does_not_grow_with_reps():
+    # the draws and the warm solves reuse one weight buffer and one
+    # workspace, so the traced peak is the same at 5 and 40 replications
+    prob = iv_problem(200_000, seed=34)
+    beta, zhat, h = point_estimate(prob)
+    vector = 8 * prob.n
+    peaks = {}
+    for reps in (5, 40):
+        tracemalloc.start()
+        try:
+            bayesian_bootstrap(prob, zhat, h, beta, reps=reps, seed=1)
+            peaks[reps] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[40] - peaks[5]) <= vector, peaks
+    assert max(peaks.values()) < 8 * vector, peaks
