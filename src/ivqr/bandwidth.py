@@ -19,7 +19,6 @@ from scipy.special import ndtri
 
 from ivqr.model import EstimationProblem
 from ivqr.projection import iv_estimate
-from ivqr.smoothing import smoothing_constants
 from ivqr.solver import SolverDiagnostics, residuals, solve_see
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
@@ -29,9 +28,10 @@ _SQRT_2PI = np.sqrt(2.0 * np.pi)
 _C_SUB_S = 0.776
 _C_SUB_B = 0.423
 _DEGENERATE_TOL = 1e-12
-# variance over squared-bias constant of the ramp smoother in the plug-in rule
-_SMOOTH = smoothing_constants()
-_VAR_BIAS_RATIO = _SMOOTH.one_minus_int_G2 / _SMOOTH.int_Gprime_v2_sq
+# variance over squared-bias constant of the ramp smoother in the plug-in rule:
+# (1 - int G^2) / (int G'(v) v^2)^2 = (1/3) / (1/9) over [-1, 1], for the
+# complementary ramp G(v) = clip((1 + v)/2, 0, 1)
+_VAR_BIAS_RATIO = 3.0
 # quartiles of at least this many rows are found by bracketing; below it
 # np.quantile is as fast.  Measured per [0.25, 0.75] call on t3 values
 # (2-core Xeon, median of 15 calls, np.quantile -> bracketed): 0.83 -> 0.93

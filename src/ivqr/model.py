@@ -236,20 +236,6 @@ def build_problem(
     return EstimationProblem(y=y, X=X, Z=Z, w=w, tau=tau, endog_idx=endog_idx, _owned=True)
 
 
-def unsmoothed_moments(prob: EstimationProblem, beta) -> np.ndarray:
-    """Sample moment vector (1/n) sum_i w_i z_i (1{y_i - x_i'beta <= 0} - tau).
-
-    Uses the original instrument matrix (length-q result) and the exact
-    indicator, so it serves as a smoothing-free diagnostic.
-    """
-    beta = np.asarray(beta, dtype=float).ravel()
-    if beta.shape[0] != prob.p:
-        raise ValueError(f"beta has length {beta.shape[0]}, expected {prob.p}")
-    v = prob.y - prob.X @ beta
-    ind = (v <= 0).astype(float)
-    return prob.Z.T @ (prob.w * (ind - prob.tau)) / prob.n
-
-
 @dataclass(frozen=True)
 class FitResult:
     """Point estimates with their covariance and run diagnostics.

@@ -153,12 +153,16 @@ def monte_carlo(
     not change the bandwidth or the estimate beyond solver tolerance.
     ``bandwidth`` and ``level`` are passed to :func:`fit` (``None`` selects
     the plug-in bandwidth).  Failed fits are counted per level and excluded
-    from the summaries.  Rows come back in the order of ``taus``.
+    from the summaries.  Rows come back in the order of ``taus``.  The sizes,
+    every level in ``taus`` and ``level`` are checked before the first draw.
     """
     taus = [float(t) for t in taus]
     n_reps = int(n_reps)
     if n_reps < 2 or not taus:
         raise ValueError(f"need n_reps >= 2 and at least one tau, got {n_reps} and {taus}")
+    for name, value in [("tau", t) for t in taus] + [("level", level)]:
+        if not 0.0 < value < 1.0:
+            raise ValueError(f"{name} must lie strictly between 0 and 1, got {value}")
     order = sorted(range(len(taus)), key=lambda i: abs(taus[i] - 0.5))
     fits = [[] for _ in taus]  # per level: (beta, se, covered) of each successful fit
     for r in range(n_reps):

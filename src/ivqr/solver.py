@@ -2,16 +2,18 @@
 
 The target system in beta is
 
-    0 = (1/n) sum_i w_i zhat_i [ itilde((y_i - x_i'beta) / h) - tau ]
+    0 = (1/n) sum_i w_i zhat_i [ I((y_i - x_i'beta) / h) - tau ]
 
-solved by Newton steps with a backtracking line search on the Euclidean norm
-of the residual.  Small bandwidths are reached by a bandwidth homotopy: start
-from the linear IV estimate at twice the SD of its residuals (capped where
-every residual sits inside the window), where the system is close to linear,
-halve toward the request, and warm-start each stage from the last.  If that
-first stage fails the homotopy restarts where the system is exactly linear;
-if a requested bandwidth cannot be solved the target is escalated
-geometrically until the solve succeeds or the attempt budget runs out.
+with I(u) = clip((1 - u)/2, 0, 1) the ramp that smooths the indicator
+1{u <= 0}.  It is solved by Newton steps with a backtracking line search on
+the Euclidean norm of the residual.  Small bandwidths are reached by a
+bandwidth homotopy: start from the linear IV estimate at twice the SD of its
+residuals (capped where every residual sits inside the window), where the
+system is close to linear, halve toward the request, and warm-start each
+stage from the last.  If that first stage fails the homotopy restarts where
+the system is exactly linear; if a requested bandwidth cannot be solved the
+target is escalated geometrically until the solve succeeds or the attempt
+budget runs out.
 
 Each Newton iterate forms the residual vector y - X beta once and shares it
 between the moment and the Jacobian; the moment is one matrix-vector product
@@ -69,16 +71,10 @@ class SeeSolution:
     diag: SolverDiagnostics
 
 
-def residuals(prob: EstimationProblem, beta) -> np.ndarray:
-    """The residual vector y - X beta, formed in a single new array."""
-    v = prob.X @ np.asarray(beta, dtype=float).ravel()
+def residuals(prob: EstimationProblem, beta, out=None) -> np.ndarray:
+    """The residual vector y - X beta, in the n-vector ``out`` or a new array."""
+    v = np.matmul(prob.X, np.asarray(beta, dtype=float).ravel(), out=out)
     return np.subtract(prob.y, v, out=v)
-
-
-def _residuals_into(prob, beta, out):
-    """y - X beta, written into the n-vector ``out``."""
-    np.matmul(prob.X, np.asarray(beta, dtype=float).ravel(), out=out)
-    return np.subtract(prob.y, out, out=out)
 
 
 class _Workspace:
@@ -115,7 +111,8 @@ def see_residual(prob: EstimationProblem, zhat: np.ndarray, beta, h, v=None, zw=
                  _ws=None):
     """Smoothed sample moment vector at ``beta`` with bandwidth ``h``.
 
-    Uses itilde(v/h) - tau = (1/2 - tau) - clip(v, -h, h)/(2h), so the moment
+    Uses I(v/h) - tau = (1/2 - tau) - clip(v, -h, h)/(2h), for the ramp
+    I(u) = clip((1 - u)/2, 0, 1) of the module docstring, so the moment
     is (1/2 - tau) Zhat'w/n minus one product of Zhat' with the clipped,
     weighted residuals.  Callers that already hold the residuals
     ``v = y - X beta`` or the instrument means ``zw`` (see
@@ -176,7 +173,7 @@ def _damped_newton(prob, zhat, beta0, h, tol, zw, ws=None):
     if ws is None:
         ws = _Workspace(prob)
     beta = np.asarray(beta0, dtype=float).copy()
-    v = ws.v if ws.v is not None else _residuals_into(prob, beta, ws.resid)
+    v = ws.v if ws.v is not None else residuals(prob, beta, ws.resid)
     g = see_residual(prob, zhat, beta, h, v=v, zw=zw, _ws=ws)
     for it in range(MAX_NEWTON_ITER):
         # the p-vector checks call ndarray methods: at small n the np.max and
@@ -195,7 +192,7 @@ def _damped_newton(prob, zhat, beta0, h, tol, zw, ws=None):
         lam = 1.0
         for _ in range(MAX_BACKTRACK + 1):
             cand = beta + lam * step
-            vc = _residuals_into(prob, cand, ws.resid)
+            vc = residuals(prob, cand, ws.resid)
             gc = see_residual(prob, zhat, cand, h, v=vc, zw=zw, _ws=ws)
             if np.isfinite(gc).all() and float(np.linalg.norm(gc)) < g2:
                 break

@@ -1,10 +1,13 @@
 """Slow-but-sure oracles the tests compare the estimator against.
 
-Two share nothing with the Newton solver: a bisection for the
-intercept-only fixed point and an enumeration of exact fits for the
-check-function minimizer.  The bootstrap oracle shares the solver on
-purpose: it is the replication loop with nothing computed once per call,
-so the bootstrap must match it exactly.
+The ramp that smooths the indicator, its derivative and the unsmoothed
+sample moments are written out here for the tests alone: the estimator
+folds the ramp into a clip of the residuals and never evaluates the
+indicator form.  Two others share nothing with the Newton solver: a
+bisection for the intercept-only fixed point and an enumeration of exact
+fits for the check-function minimizer.  The bootstrap oracle shares the
+solver on purpose: it is the replication loop with nothing computed once
+per call, so the bootstrap must match it exactly.
 """
 
 from itertools import combinations
@@ -12,7 +15,46 @@ from itertools import combinations
 import numpy as np
 
 from ivqr.exceptions import ConvergenceError, SingularMatrixError
+from ivqr.model import EstimationProblem
 from ivqr.solver import solve_see
+
+
+def itilde(v):
+    """Smoothed indicator: 1 below the window, 0 above, (1 - v)/2 across it.
+
+    Accepts scalars or arrays; returns the same shape.
+    """
+    v = np.asarray(v, dtype=float)
+    out = np.clip((1.0 - v) / 2.0, 0.0, 1.0)
+    if out.ndim == 0:
+        return float(out)
+    return out
+
+
+def itilde_deriv(v):
+    """Derivative of ``itilde``: -1/2 strictly inside (-1, 1), 0 elsewhere.
+
+    The kinks at v = -1 and v = 1 are assigned derivative 0.
+    """
+    v = np.asarray(v, dtype=float)
+    out = np.where(np.abs(v) < 1.0, -0.5, 0.0)
+    if out.ndim == 0:
+        return float(out)
+    return out
+
+
+def unsmoothed_moments(prob: EstimationProblem, beta) -> np.ndarray:
+    """Sample moment vector (1/n) sum_i w_i z_i (1{y_i - x_i'beta <= 0} - tau).
+
+    Uses the original instrument matrix (length-q result) and the exact
+    indicator, so it serves as a smoothing-free diagnostic.
+    """
+    beta = np.asarray(beta, dtype=float).ravel()
+    if beta.shape[0] != prob.p:
+        raise ValueError(f"beta has length {beta.shape[0]}, expected {prob.p}")
+    v = prob.y - prob.X @ beta
+    ind = (v <= 0).astype(float)
+    return prob.Z.T @ (prob.w * (ind - prob.tau)) / prob.n
 
 
 def winsorized_mean_oracle(y, h: float, tau: float = 0.5) -> float:

@@ -22,7 +22,6 @@ from ivqr.bandwidth import (
 from ivqr.estimate import fit
 from ivqr.model import build_problem
 from ivqr.projection import iv_estimate, project_instruments
-from ivqr.smoothing import smoothing_constants
 from ivqr.solver import solve_see
 
 
@@ -362,10 +361,11 @@ def test_fit_with_plugin_diagnostics_cover_both_solves():
 
 
 def count_iv_calls(monkeypatch):
+    """Record the row count of every IV start."""
     calls = []
 
     def counted(prob_, zhat_):
-        calls.append(1)
+        calls.append(prob_.n)
         return iv_estimate(prob_, zhat_)
 
     monkeypatch.setattr(solver_mod, "iv_estimate", counted)
@@ -374,10 +374,17 @@ def count_iv_calls(monkeypatch):
 
 
 def test_plugin_fit_computes_iv_start_at_most_twice(monkeypatch):
-    prob = make_problem(tau=0.25, seed=24)
+    # the plug-in's first pass reads the IV residuals on all rows; a cold
+    # solve below SUBSAMPLE_MIN_ROWS starts its homotopy from a second one,
+    # and at or above it only the subsample's homotopy computes one
+    prob = make_problem(n=2000, tau=0.25, seed=24)
     calls = count_iv_calls(monkeypatch)
     fit(prob)
-    assert 1 <= len(calls) <= 2
+    assert calls == [prob.n, prob.n]
+    calls.clear()
+    monkeypatch.setattr(solver_mod, "SUBSAMPLE_MIN_ROWS", 500)
+    fit(prob)
+    assert calls == [prob.n, len(range(0, prob.n, prob.n // 500 + 1))]
 
 
 def test_starting_values_only_start_the_solver(monkeypatch):
@@ -399,9 +406,8 @@ def test_starting_values_only_start_the_solver(monkeypatch):
 
 
 def test_plugin_constant_comes_from_smoothing_constants(monkeypatch):
-    consts = smoothing_constants()
-    ratio = consts.one_minus_int_G2 / consts.int_Gprime_v2_sq
-    assert bandwidth_mod._VAR_BIAS_RATIO == ratio == 3.0
+    # (1 - int G^2) / (int G'(v) v^2)^2 of the complementary ramp G
+    assert bandwidth_mod._VAR_BIAS_RATIO == (1.0 / 3.0) / (1.0 / 9.0) == 3.0
     prob = make_problem(tau=0.25, seed=26)
     resid = np.random.default_rng(8).normal(size=prob.n)
     base = plug_in_bandwidth(prob, resid).candidates

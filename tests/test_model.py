@@ -6,16 +6,11 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from oracles import unsmoothed_moments
 from scipy.special import ndtri
 
 from ivqr.estimate import fit
-from ivqr.model import (
-    EstimationProblem,
-    FitResult,
-    build_problem,
-    convert_quantile,
-    unsmoothed_moments,
-)
+from ivqr.model import EstimationProblem, FitResult, build_problem, convert_quantile
 
 
 def small_problem(n=40, seed=3):

@@ -1,18 +1,18 @@
 """Tests for the simulated designs, the slow oracles, and the study runner."""
 
 import csv
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from oracles import brute_force_qr_oracle, winsorized_mean_oracle
+from oracles import brute_force_qr_oracle, unsmoothed_moments, winsorized_mean_oracle
 from scipy.optimize import brentq, linprog
 from scipy.stats import norm
 
 import ivqr.simulation as simulation_mod
 from ivqr.estimate import fit
 from ivqr.exceptions import EstimationError
-from ivqr.model import unsmoothed_moments
 from ivqr.simulation import (
     DgpSpec,
     LOCATION_SHIFT,
@@ -255,16 +255,33 @@ def test_monte_carlo_fixed_bandwidth_setting():
     assert np.all(np.isfinite(rows[0].rmse))
 
 
+SIZES = "n_reps >= 2 and at least one tau"
+
+
 @pytest.mark.parametrize(
-    "taus, n_reps", [([0.5], 1), ([0.5], 0), ([], 5)], ids=["one-rep", "no-reps", "no-taus"]
+    "taus, n_reps, level, message",
+    [
+        ([0.5], 1, 0.95, SIZES),
+        ([0.5], 0, 0.95, SIZES),
+        ([], 5, 0.95, SIZES),
+        ([0.5, 1.5], 2, 0.95, "tau must lie strictly between 0 and 1, got 1.5"),
+        ([50.0], 2, 0.95, "tau must lie strictly between 0 and 1, got 50.0"),
+        ([0.0], 2, 0.95, "tau must lie strictly between 0 and 1, got 0.0"),
+        ([0.5], 2, 95.0, "level must lie strictly between 0 and 1, got 95.0"),
+        ([0.5], 2, 0.0, "level must lie strictly between 0 and 1, got 0.0"),
+    ],
+    ids=["one-rep", "no-reps", "no-taus", "tau-above-one", "percentile-tau", "zero-tau",
+         "percent-level", "zero-level"],
 )
-def test_monte_carlo_rejects_degenerate_sizes_before_drawing(monkeypatch, taus, n_reps):
+def test_monte_carlo_rejects_degenerate_sizes_before_drawing(monkeypatch, taus, n_reps,
+                                                            level, message):
     def no_draw(*args, **kwargs):
-        raise AssertionError("drew a dataset")
+        raise AssertionError("drew a dataset or fitted one")
 
     monkeypatch.setattr(simulation_mod, "generate", no_draw)
-    with pytest.raises(ValueError, match="n_reps >= 2 and at least one tau"):
-        monte_carlo(reference_dgp(n=100, seed=3), taus=taus, n_reps=n_reps)
+    monkeypatch.setattr(simulation_mod, "fit", no_draw)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        monte_carlo(reference_dgp(n=100, seed=3), taus=taus, n_reps=n_reps, level=level)
 
 
 def _cold_rows(spec, taus, n_reps, level=0.95):

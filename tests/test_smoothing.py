@@ -1,15 +1,18 @@
-"""Tests for the ramp smoother and its moment constants.
+"""Tests for the ramp smoother and the plug-in rule's constant built from it.
 
-The two closed-form constants are checked against numerical quadrature of an
-independently written ramp, so a typo in either place shows up as a mismatch.
+The ramp and its derivative are test oracles (``tests/oracles.py``); the
+estimator reads only the ratio of two moment constants of the complementary
+ramp, which is checked against numerical quadrature of an independently
+written ramp, so a typo in either place shows up as a mismatch.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from oracles import itilde, itilde_deriv
 from scipy.integrate import quad
 
-from ivqr.smoothing import itilde, itilde_deriv, smoothing_constants
+from ivqr.bandwidth import _VAR_BIAS_RATIO
 
 
 def ramp_cdf(v):
@@ -25,15 +28,14 @@ def test_constants_match_quadrature():
     int_g2, err1 = quad(lambda v: ramp_cdf(v) ** 2, -1.0, 1.0)
     int_gpv2, err2 = quad(lambda v: 0.5 * v**2, -1.0, 1.0)
     assert err1 < 1e-10 and err2 < 1e-10
-    consts = smoothing_constants()
-    assert consts.one_minus_int_G2 == pytest.approx(1.0 - int_g2, abs=1e-12)
-    assert consts.int_Gprime_v2_sq == pytest.approx(int_gpv2**2, abs=1e-12)
+    assert 1.0 / 3.0 == pytest.approx(1.0 - int_g2, abs=1e-12)
+    assert 1.0 / 9.0 == pytest.approx(int_gpv2**2, abs=1e-12)
+    assert _VAR_BIAS_RATIO == pytest.approx((1.0 - int_g2) / int_gpv2**2, rel=1e-12)
 
 
 def test_constants_exact_fractions():
-    consts = smoothing_constants()
-    assert consts.one_minus_int_G2 == 1.0 / 3.0
-    assert consts.int_Gprime_v2_sq == 1.0 / 9.0
+    # (1 - int G^2) / (int G'(v) v^2)^2 in closed form, exactly 3.0 in floating point
+    assert _VAR_BIAS_RATIO == (1.0 / 3.0) / (1.0 / 9.0) == 3.0
 
 
 def test_itilde_anchor_values():

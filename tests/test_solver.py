@@ -16,14 +16,13 @@ import re
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import winsorized_mean_oracle
+from oracles import itilde, winsorized_mean_oracle
 
 import ivqr.solver as solver_mod
 from ivqr.model import EstimationProblem, build_problem
 from ivqr.exceptions import ConvergenceError
 from ivqr.bandwidth import plug_in_bandwidth
 from ivqr.projection import iv_estimate, project_instruments
-from ivqr.smoothing import itilde
 from ivqr.solver import (
     MAX_ESCALATIONS,
     SeeSolution,
