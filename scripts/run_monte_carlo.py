@@ -15,16 +15,30 @@ Example:
 """
 
 import argparse
+import csv
 import sys
 import time
+from typing import Sequence
 
-from ivqr.simulation import (
-    LOCATION_SHIFT,
-    RANDOM_COEFFICIENT,
-    DgpSpec,
-    monte_carlo,
-    monte_carlo_to_csv,
-)
+from ivqr.simulation import LOCATION_SHIFT, RANDOM_COEFFICIENT, DgpSpec, MonteCarloRow, monte_carlo
+
+
+def monte_carlo_to_csv(rows: Sequence[MonteCarloRow], path) -> None:
+    """Write Monte Carlo summaries as one CSV line per (tau, coefficient)."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(
+            ["tau", "n", "n_reps", "n_failed", "coef", "mean_bias", "sd", "rmse",
+             "analytic_se_mean", "coverage"]
+        )
+        for row in rows:
+            for j in range(row.mean_bias.shape[0]):
+                writer.writerow(
+                    [row.tau, row.n, row.n_reps, row.n_failed, j,
+                     repr(float(row.mean_bias[j])), repr(float(row.sd[j])),
+                     repr(float(row.rmse[j])), repr(float(row.analytic_se_mean[j])),
+                     repr(float(row.coverage[j]))]
+                )
 
 
 def parse_args(argv=None):

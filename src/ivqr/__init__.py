@@ -10,8 +10,6 @@ from the solver's own Jacobian.
 from ivqr.bandwidth import (
     BandwidthCandidates,
     BandwidthReport,
-    PluginFit,
-    fit_with_plugin,
     plug_in_bandwidth,
 )
 from ivqr.estimate import DEFAULT_SEED, fit
@@ -23,13 +21,12 @@ from ivqr.exceptions import (
 )
 from ivqr.inference import CovarianceEstimate, analytic_covariance, bayesian_bootstrap
 from ivqr.model import EstimationProblem, FitResult, build_problem, convert_quantile
-from ivqr.projection import iv_estimate, project_instruments
+from ivqr.projection import project_instruments
 from ivqr.simulation import (
     DgpSpec,
     MonteCarloRow,
     generate,
     monte_carlo,
-    monte_carlo_to_csv,
     reference_dgp,
 )
 from ivqr.solver import SeeSolution, SolverDiagnostics, solve_see
@@ -47,7 +44,6 @@ __all__ = [
     "EstimationProblem",
     "FitResult",
     "MonteCarloRow",
-    "PluginFit",
     "RankDeficientError",
     "SeeSolution",
     "SingularMatrixError",
@@ -57,11 +53,8 @@ __all__ = [
     "build_problem",
     "convert_quantile",
     "fit",
-    "fit_with_plugin",
     "generate",
-    "iv_estimate",
     "monte_carlo",
-    "monte_carlo_to_csv",
     "plug_in_bandwidth",
     "project_instruments",
     "reference_dgp",

@@ -19,7 +19,7 @@ from scipy.special import ndtri
 
 from ivqr.model import EstimationProblem
 from ivqr.projection import iv_estimate
-from ivqr.solver import SolverDiagnostics, residuals, solve_see
+from ivqr.solver import SeeSolution, residuals, solve_see
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 
@@ -56,11 +56,10 @@ class BandwidthCandidates(NamedTuple):
 class BandwidthReport:
     """Requested and realized bandwidths plus the selection inputs.
 
-    On the plug-in path ``candidates`` holds the three candidate values,
-    ``h_max`` the largest finite candidate, and ``refined`` records whether
-    the one-step refinement ran.  On the manual-bandwidth path the selection
-    machinery is bypassed entirely: ``candidates`` and the estimate fields
-    are None and ``refined`` is False.
+    On the plug-in path ``candidates`` holds the three candidate values and
+    ``h_max`` the largest finite candidate.  On the manual-bandwidth path
+    the selection machinery is bypassed entirely: ``candidates`` and the
+    estimate fields are None.
     """
 
     h_requested: float
@@ -70,7 +69,6 @@ class BandwidthReport:
     sigma_hat: Optional[float] = None
     f0_hat: Optional[float] = None
     fprime0_hat: Optional[float] = None
-    refined: bool = False
 
     @property
     def escalated_past_max(self) -> bool:
@@ -259,21 +257,14 @@ def plug_in_bandwidth(prob: EstimationProblem, resid) -> BandwidthReport:
         sigma_hat=sigma,
         f0_hat=f0,
         fprime0_hat=fp0,
-        refined=False,
     )
-
-
-class PluginFit(NamedTuple):
-    beta: np.ndarray
-    report: BandwidthReport
-    diag: SolverDiagnostics
 
 
 def fit_with_plugin(
     prob: EstimationProblem,
     zhat: np.ndarray,
     beta_init=None,
-) -> PluginFit:
+) -> tuple[SeeSolution, BandwidthReport]:
     """Estimate with the plug-in bandwidth and one refinement pass.
 
     First pass: bandwidth from the linear IV residuals, then solve.  Second
@@ -281,21 +272,13 @@ def fit_with_plugin(
     warm-started.  ``beta_init`` only starts the first solve, so it moves
     neither bandwidth nor the estimate beyond solver tolerance.  The
     refinement runs exactly once; manually chosen bandwidths never enter this
-    function.  The returned diagnostics cover both solves: iterations,
-    homotopy stages and escalations are summed, and ``converged`` holds only
-    if both converged.
+    function.  Returns the second solve and the second pass's report.  The
+    solve's diagnostics cover both solves: the first solve's iterations,
+    homotopy stages and escalations are added to its own.
     """
     rep1 = plug_in_bandwidth(prob, residuals(prob, iv_estimate(prob, zhat)))
     sol1 = solve_see(prob, zhat, rep1.h_requested, beta_init=beta_init)
     rep2 = plug_in_bandwidth(prob, residuals(prob, sol1.beta))
     sol2 = solve_see(prob, zhat, rep2.h_requested, beta_init=sol1.beta)
-    report = replace(rep2, h_used=sol2.h_used, refined=True)
-    d1, d2 = sol1.diag, sol2.diag
-    diag = SolverDiagnostics(
-        iterations=d1.iterations + d2.iterations,
-        final_residual_inf_norm=d2.final_residual_inf_norm,
-        bandwidth_escalations=d1.bandwidth_escalations + d2.bandwidth_escalations,
-        converged=d1.converged and d2.converged,
-        homotopy_stages=d1.homotopy_stages + d2.homotopy_stages,
-    )
-    return PluginFit(beta=sol2.beta, report=report, diag=diag)
+    sol2.diag.absorb(sol1.diag)
+    return sol2, replace(rep2, h_used=sol2.h_used)

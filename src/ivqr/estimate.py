@@ -46,25 +46,23 @@ def fit(
         reps, seed = _check_bootstrap_args(reps, seed)
     zhat = project_instruments(prob)
     if bandwidth is None:
-        beta, report, diag = fit_with_plugin(prob, zhat, beta_init=beta_init)
+        sol, report = fit_with_plugin(prob, zhat, beta_init=beta_init)
     else:
         sol = solve_see(prob, zhat, float(bandwidth), beta_init=beta_init)
-        beta, diag = sol.beta, sol.diag
         report = BandwidthReport(h_requested=float(bandwidth), h_used=sol.h_used)
+    beta, h = sol.beta, sol.h_used
     if reps == 0:
-        h_jac = report.h_used  # on the plug-in path, never below the request
+        h_jac = h  # on the plug-in path, never below the request
         if bandwidth is not None:
             h_jac = max(h_jac, plug_in_bandwidth(prob, residuals(prob, beta)).h_requested)
-        cov_est = analytic_covariance(prob, zhat, beta, report.h_used, h_jac)
+        cov_est = analytic_covariance(prob, zhat, beta, h, h_jac)
     else:
-        cov_est = bayesian_bootstrap(
-            prob, zhat, report.h_used, beta, reps=reps, seed=seed, progress=progress
-        )
+        cov_est = bayesian_bootstrap(prob, zhat, h, beta, reps=reps, seed=seed, progress=progress)
     return FitResult(
         beta=beta,
         cov=cov_est.cov,
         bandwidth=report,
-        solver=diag,
+        solver=sol.diag,
         n_obs=prob.n,
         vcov_kind=cov_est.kind,
         level=level,

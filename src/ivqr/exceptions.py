@@ -22,8 +22,10 @@ class SingularMatrixError(EstimationError):
 class ConvergenceError(EstimationError):
     """The equation solver gave up.
 
-    Carries the solver diagnostics collected up to the failure so callers
-    can inspect iteration and escalation counts.
+    From ``solve_see``, ``diagnostics`` counts that one call's work: a
+    failed plug-in refinement solve leaves out the first solve, which a
+    successful fit's ``FitResult.solver`` includes.  From the bootstrap's
+    limit on failed draws it is None.
     """
 
     def __init__(self, message, diagnostics=None):

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
@@ -202,21 +201,3 @@ def monte_carlo(
             )
         )
     return rows
-
-
-def monte_carlo_to_csv(rows: Sequence[MonteCarloRow], path) -> None:
-    """Write Monte Carlo summaries as one CSV line per (tau, coefficient)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["tau", "n", "n_reps", "n_failed", "coef", "mean_bias", "sd", "rmse",
-             "analytic_se_mean", "coverage"]
-        )
-        for row in rows:
-            for j in range(row.mean_bias.shape[0]):
-                writer.writerow(
-                    [row.tau, row.n, row.n_reps, row.n_failed, j,
-                     repr(float(row.mean_bias[j])), repr(float(row.sd[j])),
-                     repr(float(row.rmse[j])), repr(float(row.analytic_se_mean[j])),
-                     repr(float(row.coverage[j]))]
-                )

@@ -63,6 +63,13 @@ class SolverDiagnostics:
     converged: bool = False
     homotopy_stages: int = 0
 
+    def absorb(self, other: SolverDiagnostics) -> None:
+        """Add ``other``'s iterations, homotopy stages and escalations to
+        these; the final residual and ``converged`` stay this record's own."""
+        self.iterations += other.iterations
+        self.homotopy_stages += other.homotopy_stages
+        self.bandwidth_escalations += other.bandwidth_escalations
+
 
 @dataclass(frozen=True)
 class SeeSolution:
@@ -366,8 +373,7 @@ def _subsample_root(prob, zhat, h, diag):
                         max_escalations=0)
     except (ValueError, SingularMatrixError):  # e.g. every sampled weight is zero
         sol = None
-    diag.iterations += sub_diag.iterations
-    diag.homotopy_stages += sub_diag.homotopy_stages
+    diag.absorb(sub_diag)
     return sol.beta if sol is not None and sol.h_used == h else None
 
 

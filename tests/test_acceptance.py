@@ -219,8 +219,8 @@ def test_c04_residual_bound_on_every_fit():
         base, _ = generate(spec, tau=0.5)
         prob_t = with_tau(base, t)
         zhat = project_instruments(prob_t)
-        out = fit_with_plugin(prob_t, zhat)
-        fits.append((prob_t, zhat, out.beta, out.report.h_used))
+        sol, report = fit_with_plugin(prob_t, zhat)
+        fits.append((prob_t, zhat, sol.beta, report.h_used))
 
     worst = 0.0
     for prob, zhat, beta, h_used in fits:

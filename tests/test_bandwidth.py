@@ -270,7 +270,6 @@ def test_median_leaves_only_silverman():
     assert rep.h_requested == rep.candidates.h_silverman
     assert rep.h_max == rep.candidates.h_silverman
     assert np.isnan(rep.h_used)
-    assert rep.refined is False
 
 
 def test_quartile_has_all_three_candidates():
@@ -324,40 +323,59 @@ def test_gaussian_reference_recomputed_inline():
 def test_fit_with_plugin_reports_refinement():
     prob = make_problem(tau=0.25)
     zhat = project_instruments(prob)
-    fit = fit_with_plugin(prob, zhat)
-    assert fit.report.refined is True
-    assert np.isfinite(fit.report.h_used) and fit.report.h_used > 0
-    assert fit.report.h_requested > 0
-    assert fit.diag.converged
+    sol, report = fit_with_plugin(prob, zhat)
+    assert report.candidates is not None
+    assert np.isfinite(report.h_used) and report.h_used > 0
+    assert report.h_used == sol.h_used
+    assert report.h_requested > 0
+    assert sol.diag.converged
 
 
 def test_fit_with_plugin_beta_solves_at_reported_bandwidth():
     prob = make_problem(tau=0.5, seed=21)
     zhat = project_instruments(prob)
-    fit = fit_with_plugin(prob, zhat)
-    direct = solve_see(prob, zhat, fit.report.h_used)
-    np.testing.assert_allclose(fit.beta, direct.beta, atol=1e-6)
+    sol, report = fit_with_plugin(prob, zhat)
+    direct = solve_see(prob, zhat, report.h_used)
+    np.testing.assert_allclose(sol.beta, direct.beta, atol=1e-6)
 
 
 def test_fit_with_plugin_deterministic():
     prob = make_problem(tau=0.25, seed=22)
     zhat = project_instruments(prob)
-    f1 = fit_with_plugin(prob, zhat)
-    f2 = fit_with_plugin(prob, zhat)
-    assert np.array_equal(f1.beta, f2.beta)
-    assert f1.report == f2.report
+    sol1, rep1 = fit_with_plugin(prob, zhat)
+    sol2, rep2 = fit_with_plugin(prob, zhat)
+    assert np.array_equal(sol1.beta, sol2.beta)
+    assert rep1 == rep2
+
+
+def atoms_problem():
+    """Criterion 12's two-atom design, where both plug-in solves escalate."""
+    rng = np.random.default_rng(1)
+    z = rng.normal(size=60)
+    d = (z + 0.3 * rng.normal(size=60) > 0).astype(float)
+    y = 5.0 * rng.choice([-1.0, 1.0], size=60)
+    return build_problem(y, raw_endog=d, raw_instr=z, quantile=0.5)
 
 
 def test_fit_with_plugin_diagnostics_cover_both_solves():
-    prob = make_problem(n=2000, seed=23, tau=0.25)
-    zhat = project_instruments(prob)
-    plug = fit_with_plugin(prob, zhat)
-    h1 = plug_in_bandwidth(prob, prob.y - prob.X @ iv_estimate(prob, zhat)).h_requested
-    first = solve_see(prob, zhat, h1)
-    assert plug.diag.converged
-    assert plug.diag.iterations >= first.diag.iterations
-    assert plug.diag.homotopy_stages > first.diag.homotopy_stages
-    assert plug.diag.bandwidth_escalations >= first.diag.bandwidth_escalations
+    # replay both passes by hand: the fit's counts are the two solves' sums,
+    # and its final residual is the second solve's
+    for prob in (make_problem(n=2000, seed=23, tau=0.25), atoms_problem()):
+        zhat = project_instruments(prob)
+        sol, report = fit_with_plugin(prob, zhat)
+        h1 = plug_in_bandwidth(prob, prob.y - prob.X @ iv_estimate(prob, zhat)).h_requested
+        first = solve_see(prob, zhat, h1)
+        h2 = plug_in_bandwidth(prob, prob.y - prob.X @ first.beta).h_requested
+        second = solve_see(prob, zhat, h2, beta_init=first.beta)
+        assert report.h_requested == h2
+        assert np.array_equal(sol.beta, second.beta)
+        d, d1, d2 = sol.diag, first.diag, second.diag
+        assert d.converged
+        assert d.iterations == d1.iterations + d2.iterations
+        assert d.homotopy_stages == d1.homotopy_stages + d2.homotopy_stages
+        assert d.bandwidth_escalations == d1.bandwidth_escalations + d2.bandwidth_escalations
+        assert d.final_residual_inf_norm == d2.final_residual_inf_norm
+    assert d1.bandwidth_escalations > 0 and d2.bandwidth_escalations > 0
 
 
 def count_iv_calls(monkeypatch):

@@ -17,6 +17,11 @@ def test_every_exported_name_resolves():
     assert [name for name in ivqr.__all__ if not hasattr(ivqr, name)] == []
 
 
+def test_readme_names_every_export():
+    readme = (ROOT / "README.md").read_text()
+    assert [name for name in ivqr.__all__ if f"`{name}`" not in readme] == []
+
+
 def test_import_does_not_load_scipy_stats():
     # scipy.stats dominates import time; the package needs only scipy.special
     src = str(Path(ivqr.__file__).resolve().parents[1])

@@ -1,8 +1,10 @@
 """Tests for the simulated designs, the slow oracles, and the study runner."""
 
 import csv
+import importlib.util
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,9 +21,17 @@ from ivqr.simulation import (
     RANDOM_COEFFICIENT,
     generate,
     monte_carlo,
-    monte_carlo_to_csv,
     reference_dgp,
 )
+
+
+def load_run_monte_carlo():
+    """The Monte Carlo script as a module; it owns the CSV writer."""
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_monte_carlo.py"
+    spec = importlib.util.spec_from_file_location("run_monte_carlo", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 # ------------------------------------------------------------------- DGPs
@@ -238,7 +248,7 @@ def test_monte_carlo_smoke_and_determinism(tmp_path):
     np.testing.assert_array_equal(rows2[0].sd, row.sd)
 
     out = tmp_path / "mc.csv"
-    monte_carlo_to_csv(rows, out)
+    load_run_monte_carlo().monte_carlo_to_csv(rows, out)
     with open(out, newline="") as fh:
         records = list(csv.DictReader(fh))
     assert len(records) == 2
