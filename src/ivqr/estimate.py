@@ -32,6 +32,9 @@ def fit(
     one plug-in pass; ``reps >= 2`` the Bayesian bootstrap, whose ``reps``
     and ``seed`` are checked before any work.  ``reps_used`` of the result
     counts the bootstrap replications kept (0 on the analytic path).
+    ``beta_init`` only starts the solver: it moves neither the bandwidth nor
+    the estimate beyond solver tolerance.  ``progress(r)`` is called once
+    per finished bootstrap replication r.
 
     The returned ``beta`` is the root of the smoothed equations at
     ``bandwidth.h_used``, not a bias-corrected estimate.  It therefore

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ivqr.exceptions import ConvergenceError, SingularMatrixError
-from ivqr.model import EstimationProblem
+from ivqr.model import EstimationProblem, whole_number
 from ivqr.projection import solve_nonsingular
 from ivqr.solver import _Workspace, residuals, see_jacobian, solve_see
 
@@ -60,18 +60,12 @@ def analytic_covariance(
 def _check_bootstrap_args(reps, seed) -> tuple:
     """``(reps, seed)`` as ints; ValueError naming the argument unless
     ``reps`` is a whole number of at least 2 and ``seed`` a non-negative one."""
-    for name, value in (("reps", reps), ("seed", seed)):
-        try:
-            whole = int(value) == value
-        except (TypeError, ValueError, OverflowError):
-            whole = False
-        if not whole:
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+    reps, seed = whole_number("reps", reps), whole_number("seed", seed)
     if reps < 2:
         raise ValueError(f"bootstrap needs at least 2 replications, got {reps}")
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    return int(reps), int(seed)
+    return reps, seed
 
 
 def bayesian_bootstrap(

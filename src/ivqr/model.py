@@ -142,6 +142,17 @@ def _check_columns(mat, label):
                 raise ValueError(f"columns {j} and {m} of {label} are identical")
 
 
+def whole_number(name: str, value) -> int:
+    """``value`` as an int; ValueError naming ``name`` unless it is whole."""
+    try:
+        whole = int(value) == value
+    except (TypeError, ValueError, OverflowError):
+        whole = False
+    if not whole:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def convert_quantile(quantile: float) -> float:
     """Map a quantile request to a probability.
 

@@ -3,61 +3,48 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.special import ndtri
 
 from ivqr.estimate import fit
 from ivqr.exceptions import EstimationError
-from ivqr.model import EstimationProblem, build_problem
+from ivqr.model import build_problem, whole_number
 
 LOCATION_SHIFT = "location-shift"
 RANDOM_COEFFICIENT = "random-coefficient"
-
-_MONOTONE_GRID = np.linspace(0.01, 0.99, 99)
 
 
 @dataclass(frozen=True)
 class DgpSpec:
     """Configuration of a simulated design.
 
-    ``location-shift``: y = beta0 + beta1 x + v with x = pi z + e, where
-    (v, e) are jointly standard normal with correlation rho and z is a
-    standard normal instrument vector (``n_instruments`` columns, combined
-    with equal loadings scaled to unit variance).  The structural quantile
-    coefficients are (beta1, beta0 + Phi^{-1}(tau)).
+    ``location-shift``: y = 1 + x + v with x = pi z + e, where (v, e) are
+    jointly standard normal with correlation rho and z is a standard normal
+    instrument vector (``n_instruments`` columns, combined with equal
+    loadings scaled to unit variance).  The structural quantile
+    coefficients are (1, 1 + Phi^{-1}(tau)).
 
-    ``random-coefficient``: y = beta0_fn(u) + beta1_fn(u) x with rank
-    u ~ U(0, 1) independent of z and x positive and u-dependent, so x is
-    endogenous while the conditional quantile restriction holds by
-    construction.  The structural coefficients are
-    (beta1_fn(tau), beta0_fn(tau)).
+    ``random-coefficient``: y = Phi^{-1}(u) + (1 + u) x with rank
+    u ~ U(0, 1) independent of the one instrument z, and
+    x = exp(pi z + e / 2) (1/2 + u) with e standard normal, so x is positive
+    and endogenous while y is increasing in u and the conditional quantile
+    restriction holds by construction.  The structural coefficients are
+    (1 + tau, Phi^{-1}(tau)); ``rho`` and ``n_instruments`` are not used.
     """
 
     kind: str = LOCATION_SHIFT
     n: int = 2000
     seed: int = 0
-    beta0: float = 1.0
-    beta1: float = 1.0
     pi: float = 1.0
     rho: float = 0.5
     n_instruments: int = 1
-    beta0_fn: Optional[Callable] = None
-    beta1_fn: Optional[Callable] = None
 
 
 def reference_dgp(n: int = 2000, seed: int = 0) -> DgpSpec:
     """The pinned location-shift design all calibration thresholds refer to."""
-    return DgpSpec(kind=LOCATION_SHIFT, n=n, seed=seed, beta0=1.0, beta1=1.0, pi=1.0, rho=0.5)
-
-
-def _default_beta0(u):
-    return ndtri(u)
-
-
-def _default_beta1(u):
-    return 1.0 + np.asarray(u, dtype=float)
+    return DgpSpec(kind=LOCATION_SHIFT, n=n, seed=seed, pi=1.0, rho=0.5)
 
 
 def generate(spec: DgpSpec, tau: float = 0.5):
@@ -65,17 +52,16 @@ def generate(spec: DgpSpec, tau: float = 0.5):
 
     ``true_beta_at(t)`` gives the structural coefficient vector at quantile
     t in the problem's column order (endogenous regressor first, intercept
-    last).  Random-coefficient draws are checked for monotonicity of
-    x'beta(u) in u over a u-grid at every generated x; a violation raises.
+    last).
     """
     rng = np.random.default_rng(spec.seed)
-    n = int(spec.n)
+    n = whole_number("n", spec.n)
     if n < 2:
         raise ValueError("need n >= 2")
     if spec.kind == LOCATION_SHIFT:
         if not -1.0 < spec.rho < 1.0:
             raise ValueError(f"rho must lie in (-1, 1), got {spec.rho}")
-        k = int(spec.n_instruments)
+        k = whole_number("n_instruments", spec.n_instruments)
         if k < 1:
             raise ValueError("need at least one instrument")
         z = rng.standard_normal((n, k))
@@ -83,39 +69,22 @@ def generate(spec: DgpSpec, tau: float = 0.5):
         eta = rng.standard_normal(n)
         v = spec.rho * e + np.sqrt(1.0 - spec.rho**2) * eta
         x = spec.pi * (z @ np.ones(k)) / np.sqrt(k) + e
-        y = spec.beta0 + spec.beta1 * x + v
-        prob = build_problem(y, raw_endog=x, raw_instr=z, quantile=tau)
+        y = 1.0 + x + v
 
         def true_beta_at(t):
-            return np.array([spec.beta1, spec.beta0 + ndtri(t)])
-
-        return prob, true_beta_at
-
-    if spec.kind == RANDOM_COEFFICIENT:
-        b0 = spec.beta0_fn if spec.beta0_fn is not None else _default_beta0
-        b1 = spec.beta1_fn if spec.beta1_fn is not None else _default_beta1
+            return np.array([1.0, 1.0 + ndtri(t)])
+    elif spec.kind == RANDOM_COEFFICIENT:
         u = rng.uniform(size=n)
         z = rng.standard_normal(n)
         e = rng.standard_normal(n)
         x = np.exp(spec.pi * z + 0.5 * e) * (0.5 + u)
-        y = np.asarray(b0(u), dtype=float) + np.asarray(b1(u), dtype=float) * x
-        grid_vals = (
-            np.asarray(b0(_MONOTONE_GRID), dtype=float)[None, :]
-            + np.asarray(b1(_MONOTONE_GRID), dtype=float)[None, :] * x[:, None]
-        )
-        if np.any(np.diff(grid_vals, axis=1) < -1e-10):
-            raise ValueError(
-                "random-coefficient spec violates monotonicity: x'beta(u) is not "
-                "nondecreasing in u for some generated x"
-            )
-        prob = build_problem(y, raw_endog=x, raw_instr=z, quantile=tau)
+        y = ndtri(u) + (1.0 + u) * x
 
         def true_beta_at(t):
-            return np.array([float(b1(t)), float(b0(t))])
-
-        return prob, true_beta_at
-
-    raise ValueError(f"unknown DGP kind {spec.kind!r}")
+            return np.array([1.0 + t, ndtri(t)])
+    else:
+        raise ValueError(f"unknown DGP kind {spec.kind!r}")
+    return build_problem(y, raw_endog=x, raw_instr=z, quantile=tau), true_beta_at
 
 
 @dataclass(frozen=True)
@@ -156,7 +125,7 @@ def monte_carlo(
     every level in ``taus`` and ``level`` are checked before the first draw.
     """
     taus = [float(t) for t in taus]
-    n_reps = int(n_reps)
+    n_reps = whole_number("n_reps", n_reps)
     if n_reps < 2 or not taus:
         raise ValueError(f"need n_reps >= 2 and at least one tau, got {n_reps} and {taus}")
     for name, value in [("tau", t) for t in taus] + [("level", level)]:

@@ -3,6 +3,7 @@
 import csv
 import importlib.util
 import re
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -75,15 +76,26 @@ def test_random_coefficient_truth_and_restriction():
         assert ind.mean() == pytest.approx(tau, abs=0.005)
 
 
-def test_random_coefficient_monotonicity_guard():
-    spec = DgpSpec(
-        kind=RANDOM_COEFFICIENT,
-        n=500,
-        seed=19,
-        beta1_fn=lambda u: 1.0 - 2.0 * np.asarray(u, dtype=float),
-    )
-    with pytest.raises(ValueError, match="monotonicity"):
-        generate(spec, tau=0.5)
+@pytest.mark.parametrize("kind", [LOCATION_SHIFT, RANDOM_COEFFICIENT])
+def test_generate_memory_is_a_few_vectors(kind):
+    # a draw holds a few n-vectors and the problem's copies of them, no
+    # n-row array per point of a grid of ranks
+    n = 200_000
+    tracemalloc.start()
+    try:
+        generate(DgpSpec(kind=kind, n=n, seed=17), tau=0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 8 * n, peak / (8 * n)
+
+
+def test_whole_float_and_numpy_sizes_draw_the_same_data():
+    base, _ = generate(DgpSpec(n=300, seed=4, n_instruments=2), tau=0.5)
+    for n, k in ((300.0, 2.0), (np.int64(300), np.int32(2))):
+        prob, _ = generate(DgpSpec(n=n, seed=4, n_instruments=k), tau=0.5)
+        np.testing.assert_array_equal(prob.y, base.y)
+        np.testing.assert_array_equal(prob.Z, base.Z)
 
 
 def test_multi_instrument_design():
@@ -109,6 +121,9 @@ def test_moment_restriction_near_zero_at_truth():
         (DgpSpec(rho=1.0), "rho"),
         (DgpSpec(n_instruments=0), "instrument"),
         (DgpSpec(kind="mystery"), "unknown DGP"),
+        (DgpSpec(n=200.7), "n must be an integer, got 200.7"),
+        (DgpSpec(kind=RANDOM_COEFFICIENT, n=200.7), "n must be an integer, got 200.7"),
+        (DgpSpec(n_instruments=2.5), "n_instruments must be an integer, got 2.5"),
     ],
 )
 def test_generate_rejects_bad_specs(bad_spec, message):
@@ -279,9 +294,11 @@ SIZES = "n_reps >= 2 and at least one tau"
         ([0.0], 2, 0.95, "tau must lie strictly between 0 and 1, got 0.0"),
         ([0.5], 2, 95.0, "level must lie strictly between 0 and 1, got 95.0"),
         ([0.5], 2, 0.0, "level must lie strictly between 0 and 1, got 0.0"),
+        ([0.5], 2.5, 0.95, "n_reps must be an integer, got 2.5"),
+        ([0.5], "3", 0.95, "n_reps must be an integer, got '3'"),
     ],
     ids=["one-rep", "no-reps", "no-taus", "tau-above-one", "percentile-tau", "zero-tau",
-         "percent-level", "zero-level"],
+         "percent-level", "zero-level", "fractional-reps", "string-reps"],
 )
 def test_monte_carlo_rejects_degenerate_sizes_before_drawing(monkeypatch, taus, n_reps,
                                                             level, message):
