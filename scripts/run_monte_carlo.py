@@ -49,30 +49,30 @@ def parse_args(argv=None):
     parser.add_argument("--reps", type=int, default=500, help="number of replications")
     parser.add_argument("--taus", default="0.25,0.5,0.75",
                         help="comma-separated quantile levels")
-    parser.add_argument("--rho", type=float, default=0.5,
-                        help="endogeneity correlation (location-shift only)")
+    parser.add_argument("--rho", type=float, default=None,
+                        help="endogeneity correlation (location-shift only; default 0.5)")
     parser.add_argument("--pi", type=float, default=1.0, help="first-stage strength")
-    parser.add_argument("--instruments", type=int, default=1,
-                        help="number of excluded instruments (location-shift only)")
+    parser.add_argument("--instruments", type=int, default=None,
+                        help="number of excluded instruments (location-shift only; default 1)")
     parser.add_argument("--seed", type=int, default=0, help="master seed for the study")
     parser.add_argument("--bandwidth", type=float, default=None,
                         help="fixed smoothing bandwidth; omit for plug-in selection")
     parser.add_argument("--level", type=float, default=0.95, help="confidence level")
     parser.add_argument("--out", default=None, help="write the summary table to this CSV")
-    return parser.parse_args(argv)
+    args = parser.parse_args(argv)
+    if args.kind == RANDOM_COEFFICIENT:
+        for flag in ("rho", "instruments"):
+            if getattr(args, flag) is not None:
+                parser.error(f"--{flag} applies to the {LOCATION_SHIFT} design only")
+    return args
 
 
 def main(argv=None) -> int:
     args = parse_args(argv)
     taus = [float(t) for t in args.taus.split(",") if t.strip()]
-    spec = DgpSpec(
-        kind=args.kind,
-        n=args.n,
-        seed=args.seed,
-        rho=args.rho,
-        pi=args.pi,
-        n_instruments=args.instruments,
-    )
+    given = {"rho": args.rho, "n_instruments": args.instruments}
+    spec = DgpSpec(kind=args.kind, n=args.n, seed=args.seed, pi=args.pi,
+                   **{k: v for k, v in given.items() if v is not None})
 
     t0 = time.perf_counter()
     rows = monte_carlo(spec, taus, args.reps, bandwidth=args.bandwidth, level=args.level)

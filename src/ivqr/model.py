@@ -153,6 +153,15 @@ def whole_number(name: str, value) -> int:
     return int(value)
 
 
+def seed_number(value) -> int:
+    """``value`` as a numpy seed; ValueError naming ``seed`` unless it is a
+    non-negative whole number."""
+    seed = whole_number("seed", value)
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    return seed
+
+
 def convert_quantile(quantile: float) -> float:
     """Map a quantile request to a probability.
 

@@ -10,7 +10,7 @@ from scipy.special import ndtri
 
 from ivqr.estimate import fit
 from ivqr.exceptions import EstimationError
-from ivqr.model import build_problem, whole_number
+from ivqr.model import build_problem, seed_number, whole_number
 
 LOCATION_SHIFT = "location-shift"
 RANDOM_COEFFICIENT = "random-coefficient"
@@ -31,7 +31,10 @@ class DgpSpec:
     x = exp(pi z + e / 2) (1/2 + u) with e standard normal, so x is positive
     and endogenous while y is increasing in u and the conditional quantile
     restriction holds by construction.  The structural coefficients are
-    (1 + tau, Phi^{-1}(tau)); ``rho`` and ``n_instruments`` are not used.
+    (1 + tau, Phi^{-1}(tau)); ``rho`` is not used and ``n_instruments``
+    must be 1.
+
+    ``seed`` must be a non-negative whole number.
     """
 
     kind: str = LOCATION_SHIFT
@@ -54,7 +57,7 @@ def generate(spec: DgpSpec, tau: float = 0.5):
     t in the problem's column order (endogenous regressor first, intercept
     last).
     """
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(seed_number(spec.seed))
     n = whole_number("n", spec.n)
     if n < 2:
         raise ValueError("need n >= 2")
@@ -74,6 +77,10 @@ def generate(spec: DgpSpec, tau: float = 0.5):
         def true_beta_at(t):
             return np.array([1.0, 1.0 + ndtri(t)])
     elif spec.kind == RANDOM_COEFFICIENT:
+        k = whole_number("n_instruments", spec.n_instruments)
+        if k != 1:
+            raise ValueError(f"the {RANDOM_COEFFICIENT} design has one instrument; "
+                             f"n_instruments must be 1, got {k}")
         u = rng.uniform(size=n)
         z = rng.standard_normal(n)
         e = rng.standard_normal(n)
@@ -121,10 +128,12 @@ def monte_carlo(
     not change the bandwidth or the estimate beyond solver tolerance.
     ``bandwidth`` and ``level`` are passed to :func:`fit` (``None`` selects
     the plug-in bandwidth).  Failed fits are counted per level and excluded
-    from the summaries.  Rows come back in the order of ``taus``.  The sizes,
-    every level in ``taus`` and ``level`` are checked before the first draw.
+    from the summaries.  Rows come back in the order of ``taus``.  The seed,
+    the sizes, every level in ``taus`` and ``level`` are checked before the
+    first draw.
     """
     taus = [float(t) for t in taus]
+    seed = seed_number(spec.seed)
     n_reps = whole_number("n_reps", n_reps)
     if n_reps < 2 or not taus:
         raise ValueError(f"need n_reps >= 2 and at least one tau, got {n_reps} and {taus}")
@@ -134,7 +143,7 @@ def monte_carlo(
     order = sorted(range(len(taus)), key=lambda i: abs(taus[i] - 0.5))
     fits = [[] for _ in taus]  # per level: (beta, se, covered) of each successful fit
     for r in range(n_reps):
-        rep_spec = replace(spec, seed=np.random.default_rng([spec.seed, r]).integers(2**63))
+        rep_spec = replace(spec, seed=np.random.default_rng([seed, r]).integers(2**63))
         base, true_beta_at = generate(rep_spec)
         solved = {}  # level -> its estimate on this dataset, None if the fit failed
         for i in order:

@@ -15,12 +15,13 @@ the system is exactly linear; if a requested bandwidth cannot be solved the
 target is escalated geometrically until the solve succeeds or the attempt
 budget runs out.
 
-Each Newton iterate forms the residual vector y - X beta once and shares it
-between the moment and the Jacobian; the moment is one matrix-vector product
-of clipped residuals, and the Jacobian sums over the rows inside the
-smoothing window only.  Each Newton stage writes its n-vectors into one
-:class:`_Workspace`, so its iterates allocate none; the bootstrap shares one
-workspace, with the point estimate's residuals and window, across its draws.
+Each Newton iterate forms the residual vector y - X beta once; the moment
+records its smoothing window for the Jacobian and is one matrix-vector
+product of the clipped residuals, and the Jacobian sums over the rows inside
+the window only.  Each Newton stage writes its n-vectors into one
+:class:`_Workspace`, so its iterates allocate no float n-vector; the
+bootstrap's workspaces share the point estimate's residuals and window
+across its draws.
 
 A cold solve on at least ``SUBSAMPLE_MIN_ROWS`` rows runs the homotopy on a
 strided subsample first and starts one full-data Newton stage from its root,
@@ -32,6 +33,7 @@ Each accepted Newton step is logged at DEBUG on the ``ivqr.solver`` logger.
 
 from __future__ import annotations
 
+import copy
 import logging
 from dataclasses import dataclass
 
@@ -85,16 +87,25 @@ def residuals(prob: EstimationProblem, beta, out=None) -> np.ndarray:
 
 
 class _Workspace:
-    """The n-vectors a Newton stage writes: a residual buffer, a float
-    scratch for clipped or absolute residuals, and a bool window mask.  One
-    residual buffer is enough: an iterate's residuals are read only by its
-    Jacobian, before the line search writes candidates over them.
+    """The n-vectors a Newton stage writes: a residual buffer and a bool
+    window mask.  One residual buffer is enough: an iterate's moment clips
+    its residuals in place after recording their window in the mask, and
+    its Jacobian reads only the mask, before the line search writes
+    candidates over both.
+
+    So with a workspace the calls come in one order: :func:`see_residual`
+    at ``v`` and ``h`` before :func:`see_jacobian` at the same point, with
+    no other moment on the same workspace in between.  The Jacobian does
+    not read ``v``: it takes the window the last moment recorded, or the
+    start's window described below.
 
     Built with ``beta`` and ``h`` it also holds a start shared by solves at
     ``h`` on reweightings of ``prob`` (same y, X and ``zhat``, other
     weights): ``beta``, its read-only residuals ``v`` and the rows, ``zhat``
     rows and X rows of their window |v| < h, which each such solve's first
-    moment and Jacobian read.
+    moment and Jacobian read.  :meth:`sibling` gives a workspace with the
+    same start and buffers of its own, for a solve that runs beside this
+    one's.
     """
 
     def __init__(self, prob, zhat=None, beta=None, h=None):
@@ -105,8 +116,17 @@ class _Workspace:
             rows = np.flatnonzero(np.abs(self.v) < h)
             self.window = (rows, zhat.take(rows, axis=0), prob.X.take(rows, axis=0))
         self.resid = np.empty(prob.n)
-        self.scratch = np.empty(prob.n)
         self.mask = np.empty(prob.n, dtype=bool)
+
+    def sibling(self) -> _Workspace:
+        """This workspace's start with new buffers."""
+        ws = copy.copy(self)
+        ws.resid, ws.mask = np.empty_like(self.resid), np.empty_like(self.mask)
+        return ws
+
+    def holds_window(self, v, h) -> bool:
+        """Whether ``v`` is this workspace's start at its bandwidth ``h``."""
+        return v is self.v and h == self.h
 
 
 def instrument_means(prob: EstimationProblem, zhat: np.ndarray) -> np.ndarray:
@@ -123,14 +143,21 @@ def see_residual(prob: EstimationProblem, zhat: np.ndarray, beta, h, v=None, zw=
     is (1/2 - tau) Zhat'w/n minus one product of Zhat' with the clipped,
     weighted residuals.  Callers that already hold the residuals
     ``v = y - X beta`` or the instrument means ``zw`` (see
-    :func:`instrument_means`) may pass them in; neither is modified.
-    ``_ws`` is the Newton loop's :class:`_Workspace`.
+    :func:`instrument_means`) may pass them in; ``zw`` is not modified.
+
+    ``_ws`` is the Newton loop's :class:`_Workspace`, whose docstring gives
+    the call order.  With it the window |v| < h goes into its mask and the
+    clipped, weighted residuals into its residual buffer, so a ``v`` that is
+    that buffer is overwritten.  Without it ``v`` is not modified.
     """
     if v is None:
         v = residuals(prob, beta)
     if zw is None:
         zw = instrument_means(prob, zhat)
-    t = np.clip(v, -h, h, out=None if _ws is None else _ws.scratch)
+    if _ws is not None and not _ws.holds_window(v, h):
+        np.greater(v, -h, out=_ws.mask)
+        _ws.mask &= v < h
+    t = np.clip(v, -h, h, out=None if _ws is None else _ws.resid)
     t *= prob.w
     return (0.5 - prob.tau) * zw - zhat.T @ t / (2.0 * h * prob.n)
 
@@ -141,17 +168,18 @@ def see_jacobian(prob: EstimationProblem, zhat: np.ndarray, beta, h, v=None, *, 
     Only observations strictly inside the smoothing window contribute; the
     ramp has slope -1/2 there, which combined with the inner derivative
     -x_i/h gives (1/(2nh)) sum over the window of w_i zhat_i x_i'.  Only the
-    window rows are gathered and summed.  ``v`` and ``_ws`` are as in
-    :func:`see_residual`; the window of a workspace's start is not found again.
+    window rows are gathered and summed.  ``v`` is as in
+    :func:`see_residual`; with the workspace ``_ws`` the window is the one
+    its last moment recorded (see :class:`_Workspace`).
     """
-    if v is None:
-        v = residuals(prob, beta)
-    if _ws is not None and v is _ws.v and h == _ws.h:
+    if _ws is not None and _ws.holds_window(v, h):
         rows, zhat_in, x_in = _ws.window
         zw_in = zhat_in * prob.w.take(rows)[:, None]
     else:
-        scratch, mask = (None, None) if _ws is None else (_ws.scratch, _ws.mask)
-        rows = np.flatnonzero(np.less(np.abs(v, out=scratch), h, out=mask))
+        if _ws is not None:
+            rows = np.flatnonzero(_ws.mask)
+        else:
+            rows = np.flatnonzero(np.abs(residuals(prob, beta) if v is None else v) < h)
         zw_in = zhat.take(rows, axis=0)
         zw_in *= prob.w.take(rows)[:, None]
         x_in = prob.X.take(rows, axis=0)
@@ -172,10 +200,10 @@ def _damped_newton(prob, zhat, beta0, h, tol, zw, ws=None):
     raising) on a singular Jacobian, a non-finite step, or a line search that
     cannot reduce the residual norm after MAX_BACKTRACK halvings.  The
     residual vector y - X beta is formed once per iterate and per line-search
-    candidate and shared by the moment and the Jacobian; ``zw`` is the
-    solve's :func:`instrument_means`.  Every n-vector goes into ``ws``, a
-    :class:`_Workspace` whose start, if it holds one, is at ``beta0``, or
-    into one allocated here.
+    candidate; the moment records its window for the Jacobian (see
+    :class:`_Workspace`).  ``zw`` is the solve's :func:`instrument_means`.
+    Every n-vector goes into ``ws``, a :class:`_Workspace` whose start, if it
+    holds one, is at ``beta0``, or into one allocated here.
     """
     if ws is None:
         ws = _Workspace(prob)

@@ -5,7 +5,10 @@ under iid Gaussian errors: tau(1-tau) / phi(q)^2 * E[xx']^{-1} / n.  With
 standard-normal regressors that is a fully closed form.
 """
 
-import itertools
+import logging
+import sys
+import threading
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -303,13 +306,137 @@ def test_bootstrap_rejects_a_bandwidth_no_draw_can_match():
             bayesian_bootstrap(prob, zhat, bad, beta, reps=10, seed=1)
 
 
-def test_bootstrap_progress_callback():
+def force_workers(monkeypatch, workers):
+    """Run every bootstrap on ``workers`` threads, whatever the rows and CPUs."""
+    monkeypatch.setattr(inference_mod, "_boot_workers", lambda n, reps: workers)
+
+
+def test_bootstrap_progress_callback(monkeypatch):
+    # the replications finish in any order on two threads; progress still
+    # sees every index once, in order
     prob = iv_problem(100, seed=11)
     zhat = project_instruments(prob)
     beta = solve_see(prob, zhat, 0.5).beta
-    seen = []
-    bayesian_bootstrap(prob, zhat, 0.5, beta, reps=12, seed=2, progress=seen.append)
-    assert seen == list(range(12))
+    for workers in (1, 2):
+        force_workers(monkeypatch, workers)
+        seen = []
+        bayesian_bootstrap(prob, zhat, 0.5, beta, reps=12, seed=2, progress=seen.append)
+        assert seen == list(range(12)), workers
+
+
+def test_bootstrap_starts_no_thread_below_the_row_threshold(monkeypatch):
+    assert inference_mod._boot_workers(inference_mod.BOOT_THREAD_MIN_ROWS - 1, 200) == 1
+    assert inference_mod._boot_workers(inference_mod.BOOT_THREAD_MIN_ROWS, 1) == 1
+    prob = iv_problem(100, seed=11)
+    zhat = project_instruments(prob)
+    beta = solve_see(prob, zhat, 0.5).beta
+
+    def no_thread(*args, **kwargs):
+        raise AssertionError("started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    bayesian_bootstrap(prob, zhat, 0.5, beta, reps=12, seed=2)
+
+
+def test_bootstrap_on_more_threads_than_cpus_matches_serial(monkeypatch):
+    # four threads on a two-CPU host, switching every microsecond, contend
+    # for the shared counter and the in-order progress: every index must
+    # still be solved and reported once, and the covariance equal the serial
+    # one bit for bit
+    prob = iv_problem(2000, seed=17)
+    zhat = project_instruments(prob)
+    beta = solve_see(prob, zhat, 0.5).beta
+    force_workers(monkeypatch, 1)
+    want = bayesian_bootstrap(prob, zhat, 0.5, beta, reps=60, seed=4)
+    force_workers(monkeypatch, 4)
+    seen, got = [], {}
+
+    def run():
+        got["est"] = bayesian_bootstrap(prob, zhat, 0.5, beta, reps=60, seed=4,
+                                        progress=seen.append)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner = threading.Thread(target=run)
+        runner.start()
+        runner.join(120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive()
+    assert seen == list(range(60))
+    assert got["est"].reps_used == want.reps_used == 60
+    np.testing.assert_array_equal(got["est"].cov, want.cov)
+
+
+class Boom(Exception):
+    pass
+
+
+@pytest.mark.parametrize("failing", ["calling", "worker"])
+def test_bootstrap_thread_failure_stops_the_others_and_is_raised(monkeypatch, failing):
+    # the failing thread raises only once the other has begun a draw, and
+    # the other finishes that draw only once the failure is out: it must
+    # then stop at its next draw, and every thread must have ended
+    prob = iv_problem(100, seed=16)
+    zhat = project_instruments(prob)
+    beta = solve_see(prob, zhat, 0.5).beta
+    force_workers(monkeypatch, 2)
+    real = inference_mod.solve_see
+    other_began, raised = threading.Event(), threading.Event()
+    other_solves = []
+
+    def solve(p, z, h, beta_init=None):
+        main = threading.current_thread() is threading.main_thread()
+        if main == (failing == "calling"):
+            assert other_began.wait(10)
+            raised.set()
+            raise Boom("replication failed")
+        other_solves.append(p)
+        if len(other_solves) == 1:
+            other_began.set()
+            assert raised.wait(10)
+            time.sleep(0.2)
+        return real(p, z, h, beta_init=beta_init)
+
+    monkeypatch.setattr(inference_mod, "solve_see", solve)
+    before = threading.active_count()
+    with pytest.raises(Boom, match="replication failed"):
+        bayesian_bootstrap(prob, zhat, 0.5, beta, reps=40, seed=2)
+    assert threading.active_count() == before
+    assert len(other_solves) == 1
+
+
+def test_bootstrap_thread_that_cannot_start_is_raised(monkeypatch):
+    # the second of two extra threads fails to start: the first is stopped
+    # and joined, the start error comes out unmasked, and the solver log
+    # gets its level back
+    prob = iv_problem(100, seed=17)
+    zhat = project_instruments(prob)
+    beta = solve_see(prob, zhat, 0.5).beta
+    force_workers(monkeypatch, 3)
+    real_start = threading.Thread.start
+    starts = []
+
+    def start(thread):
+        starts.append(thread)
+        if len(starts) == 2:
+            raise RuntimeError("can't start new thread")
+        real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    solver_log = logging.getLogger("ivqr.solver")
+    level = solver_log.level
+    solver_log.setLevel(logging.DEBUG)
+    before = threading.active_count()
+    try:
+        with pytest.raises(RuntimeError, match="can't start new thread"):
+            bayesian_bootstrap(prob, zhat, 0.5, beta, reps=40, seed=2)
+        assert solver_log.level == logging.DEBUG
+    finally:
+        solver_log.setLevel(level)
+    assert threading.active_count() == before
+    assert len(starts) == 2
 
 
 def test_bootstrap_aborts_when_replications_fail(monkeypatch):
@@ -325,20 +452,27 @@ def test_bootstrap_aborts_when_replications_fail(monkeypatch):
         bayesian_bootstrap(prob, zhat, 0.5, beta, reps=10, seed=3)
 
 
-def escalate_draws(monkeypatch, chosen):
+def escalate_draws(monkeypatch, prob, reps, seed, chosen):
     """Make the bootstrap's solves for the draws in ``chosen`` come back
     escalated, at 1.5 times the requested bandwidth with a shifted root;
-    returns the list the other draws' betas are appended to."""
+    returns the dict the other draws' betas go into, by draw index.  A draw
+    is told by its weights, so the draws may run in any order."""
+    index = {}
+    for r in range(reps):
+        w = np.random.default_rng([seed, r]).standard_exponential(prob.n)
+        w /= w.mean()
+        w *= prob.w
+        index[w.tobytes()] = r
     real = inference_mod.solve_see
-    kept = []
-    draw = itertools.count()
+    kept = {}
 
     def solve(p, z, h, beta_init=None):
         sol = real(p, z, h, beta_init=beta_init)
-        if next(draw) in chosen:
+        r = index[p.w.tobytes()]
+        if r in chosen:
             diag = replace(sol.diag, bandwidth_escalations=1)
             return SeeSolution(beta=sol.beta + 1.0, h_used=1.5 * h, diag=diag)
-        kept.append(sol.beta)
+        kept[r] = sol.beta
         return sol
 
     monkeypatch.setattr(inference_mod, "solve_see", solve)
@@ -349,18 +483,20 @@ def test_bootstrap_drops_draws_solved_at_another_bandwidth(monkeypatch):
     prob = iv_problem(120, seed=14)
     zhat = project_instruments(prob)
     beta = solve_see(prob, zhat, 0.5).beta
-    kept = escalate_draws(monkeypatch, {17})
-    est = bayesian_bootstrap(prob, zhat, 0.5, beta, reps=40, seed=6)
-    assert est.reps_used == 39
-    want = np.cov(np.array(kept), rowvar=False, ddof=1)
-    np.testing.assert_array_equal(est.cov, 0.5 * (want + want.T))
+    for workers in (1, 2):
+        force_workers(monkeypatch, workers)
+        kept = escalate_draws(monkeypatch, prob, 40, 6, {17})
+        est = bayesian_bootstrap(prob, zhat, 0.5, beta, reps=40, seed=6)
+        assert est.reps_used == 39 and sorted(kept) == sorted(set(range(40)) - {17})
+        want = np.cov(np.array([kept[r] for r in sorted(kept)]), rowvar=False, ddof=1)
+        np.testing.assert_array_equal(est.cov, 0.5 * (want + want.T))
 
 
 def test_bootstrap_counts_escalated_draws_against_failure_budget(monkeypatch):
     prob = iv_problem(100, seed=15)
     zhat = project_instruments(prob)
     beta = solve_see(prob, zhat, 0.5).beta
-    escalate_draws(monkeypatch, {2, 5, 9})
+    escalate_draws(monkeypatch, prob, 10, 3, {2, 5, 9})
     with pytest.raises(ConvergenceError, match="3 of 10 bootstrap replications failed"):
         bayesian_bootstrap(prob, zhat, 0.5, beta, reps=10, seed=3)
 
@@ -381,7 +517,7 @@ def test_bootstrap_cov_shape_single_parameter():
 def test_fit_result_keeps_reps_used(monkeypatch):
     prob = iv_problem(120, seed=14)
     assert fit(prob).reps_used == 0
-    kept = escalate_draws(monkeypatch, {3, 17})
+    kept = escalate_draws(monkeypatch, prob, 40, 6, {3, 17})
     res = fit(prob, reps=40, seed=6)
     assert res.vcov_kind == "bootstrap"
     assert res.reps_used == len(kept) == 38
@@ -413,12 +549,14 @@ def assert_bootstrap_matches_oracle(prob, reps, seed):
     return est
 
 
-def test_bootstrap_matches_oracle_unweighted_exactly_identified():
-    est = assert_bootstrap_matches_oracle(iv_problem(300, seed=31), reps=30, seed=7)
-    assert est.reps_used == 30
+def test_bootstrap_matches_oracle_unweighted_exactly_identified(monkeypatch):
+    for workers in (1, 2):
+        force_workers(monkeypatch, workers)
+        est = assert_bootstrap_matches_oracle(iv_problem(300, seed=31), reps=30, seed=7)
+        assert est.reps_used == 30
 
 
-def test_bootstrap_matches_oracle_weighted_overidentified():
+def test_bootstrap_matches_oracle_weighted_overidentified(monkeypatch):
     rng = np.random.default_rng(32)
     n = 400
     z = rng.normal(size=(n, 2))
@@ -427,7 +565,9 @@ def test_bootstrap_matches_oracle_weighted_overidentified():
     prob = build_problem(y, raw_endog=d, raw_instr=z, weights=rng.uniform(0.2, 3.0, size=n),
                          quantile=0.3)
     assert prob.q > prob.p and not np.all(prob.w == 1.0)
-    assert_bootstrap_matches_oracle(prob, reps=30, seed=8)
+    for workers in (1, 2):
+        force_workers(monkeypatch, workers)
+        assert_bootstrap_matches_oracle(prob, reps=30, seed=8)
 
 
 def test_bootstrap_matches_oracle_when_a_warm_solve_falls_back(monkeypatch):
@@ -447,25 +587,31 @@ def test_bootstrap_matches_oracle_when_a_warm_solve_falls_back(monkeypatch):
         return real(p, z, beta0, h, tol, zw, *ws)
 
     monkeypatch.setattr(solver_mod, "_damped_newton", newton)
-    est = assert_bootstrap_matches_oracle(prob, reps=20, seed=9)
-    # the bootstrap's warm stage brought its shared start, the oracle's did not
-    assert failed == [1, 0]
-    assert est.reps_used == 20
+    for workers in (1, 2):
+        force_workers(monkeypatch, workers)
+        failed.clear()
+        est = assert_bootstrap_matches_oracle(prob, reps=20, seed=9)
+        # the bootstrap's warm stage brought its shared start, the oracle's did not
+        assert failed == [1, 0]
+        assert est.reps_used == 20
 
 
-def test_bootstrap_memory_does_not_grow_with_reps():
-    # the draws and the warm solves reuse one weight buffer and one
-    # workspace, so the traced peak is the same at 5 and 40 replications
+def test_bootstrap_memory_does_not_grow_with_reps(monkeypatch):
+    # each thread's draws and warm solves reuse one weight buffer and one
+    # workspace, so the traced peak is the same at 5 and 40 replications,
+    # on one thread and on two
     prob = iv_problem(200_000, seed=34)
     beta, zhat, h = point_estimate(prob)
     vector = 8 * prob.n
-    peaks = {}
-    for reps in (5, 40):
-        tracemalloc.start()
-        try:
-            bayesian_bootstrap(prob, zhat, h, beta, reps=reps, seed=1)
-            peaks[reps] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    assert abs(peaks[40] - peaks[5]) <= vector, peaks
-    assert max(peaks.values()) < 8 * vector, peaks
+    for workers in (1, 2):
+        force_workers(monkeypatch, workers)
+        peaks = {}
+        for reps in (5, 40):
+            tracemalloc.start()
+            try:
+                bayesian_bootstrap(prob, zhat, h, beta, reps=reps, seed=1)
+                peaks[reps] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[40] - peaks[5]) <= vector, (workers, peaks)
+        assert max(peaks.values()) < 8 * vector, (workers, peaks)

@@ -124,11 +124,48 @@ def test_moment_restriction_near_zero_at_truth():
         (DgpSpec(n=200.7), "n must be an integer, got 200.7"),
         (DgpSpec(kind=RANDOM_COEFFICIENT, n=200.7), "n must be an integer, got 200.7"),
         (DgpSpec(n_instruments=2.5), "n_instruments must be an integer, got 2.5"),
+        (DgpSpec(kind=RANDOM_COEFFICIENT, n_instruments=0), "n_instruments must be 1, got 0"),
+        (DgpSpec(kind=RANDOM_COEFFICIENT, n_instruments=3), "n_instruments must be 1, got 3"),
     ],
 )
 def test_generate_rejects_bad_specs(bad_spec, message):
     with pytest.raises(ValueError, match=message):
         generate(bad_spec, tau=0.5)
+
+
+@pytest.mark.parametrize("seed, same_as", [(2.0, 2), (np.int64(3), 3), (-1, None)],
+                         ids=["whole-float", "numpy-int", "negative"])
+def test_seed_is_a_non_negative_whole_number(monkeypatch, seed, same_as):
+    # a whole seed draws what its int draws, in one dataset and in a study;
+    # a negative one is refused by name, by the study before any draw
+    spec = reference_dgp(n=200, seed=seed)
+    if same_as is None:
+        with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+            generate(spec)
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew a dataset")
+
+        monkeypatch.setattr(simulation_mod, "generate", no_draw)
+        with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+            monte_carlo(spec, taus=[0.5], n_reps=2)
+        return
+    want = replace(spec, seed=same_as)
+    np.testing.assert_array_equal(generate(spec)[0].y, generate(want)[0].y)
+    got_row, want_row = monte_carlo(spec, [0.5], 2)[0], monte_carlo(want, [0.5], 2)[0]
+    np.testing.assert_array_equal(got_row.mean_bias, want_row.mean_bias)
+    np.testing.assert_array_equal(got_row.sd, want_row.sd)
+
+
+@pytest.mark.parametrize("flag", [["--rho", "0.2"], ["--instruments", "3"]])
+def test_monte_carlo_script_refuses_location_shift_flags_on_random_coefficient(capsys, flag):
+    script = load_run_monte_carlo()
+    with pytest.raises(SystemExit) as exit_info:
+        script.parse_args(["--kind", RANDOM_COEFFICIENT] + flag)
+    assert exit_info.value.code == 2
+    assert f"{flag[0]} applies to the {LOCATION_SHIFT} design only" in capsys.readouterr().err
+    args = script.parse_args(["--kind", LOCATION_SHIFT] + flag)
+    assert getattr(args, flag[0][2:]) == float(flag[1])
 
 
 # -------------------------------------------------------- winsorized mean
