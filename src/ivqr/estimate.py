@@ -6,7 +6,7 @@ import numpy as np
 
 from ivqr.bandwidth import BandwidthReport, fit_with_plugin, plug_in_bandwidth
 from ivqr.inference import _check_bootstrap_args, analytic_covariance, bayesian_bootstrap
-from ivqr.model import EstimationProblem, FitResult
+from ivqr.model import EstimationProblem, FitResult, nonnegative_number
 from ivqr.projection import project_instruments
 from ivqr.solver import residuals, solve_see
 
@@ -29,9 +29,9 @@ def fit(
     and bypasses selection for the solve.  ``reps=0`` uses the analytic
     sandwich of the solved equations (:func:`~ivqr.inference.analytic_covariance`),
     its Jacobian at max(h_used, plug-in request), so a manual bandwidth costs
-    one plug-in pass; ``reps >= 2`` the Bayesian bootstrap, whose ``reps``
-    and ``seed`` are checked before any work.  ``reps_used`` of the result
-    counts the bootstrap replications kept (0 on the analytic path).
+    one plug-in pass; ``reps >= 2`` the Bayesian bootstrap.  ``bandwidth``,
+    ``reps`` and ``seed`` are checked before any work.  ``reps_used`` of the
+    result counts the bootstrap replications kept (0 on the analytic path).
     ``beta_init`` only starts the solver: it moves neither the bandwidth nor
     the estimate beyond solver tolerance.  ``progress(r)`` is called once
     per finished bootstrap replication r.
@@ -45,14 +45,15 @@ def fit(
     """
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must lie strictly between 0 and 1, got {level}")
+    bandwidth = None if bandwidth is None else nonnegative_number("bandwidth", bandwidth)
     if reps != 0:
         reps, seed = _check_bootstrap_args(reps, seed)
     zhat = project_instruments(prob)
     if bandwidth is None:
         sol, report = fit_with_plugin(prob, zhat, beta_init=beta_init)
     else:
-        sol = solve_see(prob, zhat, float(bandwidth), beta_init=beta_init)
-        report = BandwidthReport(h_requested=float(bandwidth), h_used=sol.h_used)
+        sol = solve_see(prob, zhat, bandwidth, beta_init=beta_init)
+        report = BandwidthReport(h_requested=bandwidth, h_used=sol.h_used)
     beta, h = sol.beta, sol.h_used
     if reps == 0:
         h_jac = h  # on the plug-in path, never below the request

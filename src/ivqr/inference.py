@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import logging
 import os
+import queue
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,87 +124,73 @@ def bayesian_bootstrap(
     ``zhat`` and X rows) are computed once per call, for every replication's
     first moment and Jacobian.
 
-    On ``BOOT_THREAD_MIN_ROWS`` rows or more the replications run on up to
-    ``BOOT_MAX_THREADS`` threads, the calling one among them, and on no more
-    threads than the CPUs the process may use; each takes the next
-    replication index from one shared counter.  Each thread refills one
-    weight buffer of its own and writes its warm solves into one workspace
-    of its own (:class:`~ivqr.solver._Workspace`), so a replication
-    allocates no float n-vector, and each thread beyond the first costs about
-    2.5 n-vectors.  Each replication depends only on (seed, r) and the
-    read-only data it shares, so the result is bit-identical for any thread
-    count.  An exception in any thread stops the others at their next draw
-    and is raised here once all have stopped.
+    On ``BOOT_THREAD_MIN_ROWS`` rows or more the replications are mapped
+    over a pool of up to ``BOOT_MAX_THREADS`` threads, no more than the
+    CPUs the process may use, and the calling thread takes their results in
+    index order; below that, or with one usable CPU, they run one after
+    another on the calling thread and no thread is started.  Each
+    replication borrows one of as many (workspace, weight buffer) pairs as
+    threads (:class:`~ivqr.solver._Workspace`), refills the buffer and
+    writes its warm solve into the workspace, so a replication allocates no
+    float n-vector; each thread beyond the first costs about 2.5 n-vectors,
+    and the pool holds about 2 KB per replication for its queued result.
+    Each replication depends only on (seed, r) and the read-only data it
+    shares, so the result is bit-identical for any thread count.  An
+    exception in a replication stops the others at their next draw; the one
+    raised here is the lowest-index one among the replications that raised.
 
     ``progress`` is called once per finished replication with the
-    replication index, in index order, on whichever thread completes the
-    prefix.  The replications' Newton steps stay out of the ``ivqr.solver``
-    iteration log, which covers the point estimate.
+    replication index, in index order, on the calling thread.  The
+    replications' Newton steps stay out of the ``ivqr.solver`` iteration
+    log, which covers the point estimate.
     """
     reps, seed = _check_bootstrap_args(reps, seed)
     if not h_used > 0:
         raise ValueError(f"h_used must be the point estimate's positive bandwidth, got {h_used}")
     beta_hat = np.asarray(beta_hat, dtype=float).ravel()
     start = _Workspace(prob, zhat, beta_hat, h_used)
-    betas = np.empty((reps, prob.p))
-    ok = np.zeros(reps, dtype=bool)
-    finished = np.zeros(reps, dtype=bool)
-    lock = threading.Lock()  # guards the counter, ``finished`` and ``reported``
-    counter = iter(range(reps))
-    reported = 0
-    errors = []
+    workers = _boot_workers(prob.n, reps)
+    spare = queue.SimpleQueue()  # one (workspace, weight buffer) pair per thread
+    for ws in [start] + [start.sibling() for _ in range(workers - 1)]:
+        spare.put((ws, np.empty(prob.n)))
     stop = threading.Event()
 
-    def replicate(ws):
-        """Solve replications from the shared counter until none are left or
-        another thread failed."""
-        nonlocal reported
-        w_r = np.empty(prob.n)
+    def replicate(r):
+        """The kept beta of replication ``r``, or None if it failed or
+        another replication raised."""
+        if stop.is_set():
+            return None
+        ws, w_r = spare.get()
         try:
-            while not stop.is_set():
-                with lock:
-                    r = next(counter, None)
-                if r is None:
-                    return
-                np.random.default_rng([seed, r]).standard_exponential(out=w_r)
-                w_r /= w_r.mean()
-                w_r *= prob.w
-                try:
-                    sol = solve_see(prob.reweighted(w_r), zhat, h_used, beta_init=ws)
-                    betas[r] = sol.beta
-                    ok[r] = sol.h_used == h_used
-                except (ConvergenceError, SingularMatrixError):
-                    pass
-                with lock:
-                    finished[r] = True
-                    while reported < reps and finished[reported]:
-                        if progress is not None:
-                            progress(reported)
-                        reported += 1
-        except BaseException as exc:  # re-raised by the calling thread
-            errors.append(exc)
+            np.random.default_rng([seed, r]).standard_exponential(out=w_r)
+            w_r /= w_r.mean()
+            w_r *= prob.w
+            sol = solve_see(prob.reweighted(w_r), zhat, h_used, beta_init=ws)
+            return sol.beta if sol.h_used == h_used else None
+        except (ConvergenceError, SingularMatrixError):
+            return None
+        except BaseException:
             stop.set()
+            raise
+        finally:
+            spare.put((ws, w_r))
 
+    betas = np.empty((reps, prob.p))
+    ok = np.zeros(reps, dtype=bool)
     solver_log = logging.getLogger("ivqr.solver")
     log_level = solver_log.level
     solver_log.setLevel(logging.INFO)
-    threads = [threading.Thread(target=replicate, args=(start.sibling(),))
-               for _ in range(_boot_workers(prob.n, reps) - 1)]
-    started = []
+    pool = ThreadPoolExecutor(workers) if workers > 1 else None
     try:
-        try:
-            for thread in threads:
-                thread.start()
-                started.append(thread)
-            replicate(start)
-        finally:
-            stop.set()
-            for thread in started:
-                thread.join()
+        for r, beta_r in enumerate((pool.map if pool else map)(replicate, range(reps))):
+            if beta_r is not None:
+                betas[r], ok[r] = beta_r, True
+            if progress is not None:
+                progress(r)
     finally:
+        if pool:
+            pool.shutdown(cancel_futures=True)
         solver_log.setLevel(log_level)
-    if errors:
-        raise errors[0]
     n_fail = int(reps - ok.sum())
     if n_fail > 0.05 * reps:
         raise ConvergenceError(

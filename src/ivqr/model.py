@@ -162,6 +162,14 @@ def seed_number(value) -> int:
     return seed
 
 
+def nonnegative_number(name: str, value) -> float:
+    """``value`` as a float; ValueError naming ``name`` unless it is finite and at least 0."""
+    h = float(value)
+    if not (np.isfinite(h) and h >= 0):
+        raise ValueError(f"{name} must be a finite nonnegative number, got {value}")
+    return h
+
+
 def convert_quantile(quantile: float) -> float:
     """Map a quantile request to a probability.
 

@@ -10,7 +10,7 @@ from scipy.special import ndtri
 
 from ivqr.estimate import fit
 from ivqr.exceptions import EstimationError
-from ivqr.model import build_problem, seed_number, whole_number
+from ivqr.model import build_problem, nonnegative_number, seed_number, whole_number
 
 LOCATION_SHIFT = "location-shift"
 RANDOM_COEFFICIENT = "random-coefficient"
@@ -61,6 +61,8 @@ def generate(spec: DgpSpec, tau: float = 0.5):
     n = whole_number("n", spec.n)
     if n < 2:
         raise ValueError("need n >= 2")
+    if not np.isfinite(spec.pi):
+        raise ValueError(f"pi must be a finite number, got {spec.pi}")
     if spec.kind == LOCATION_SHIFT:
         if not -1.0 < spec.rho < 1.0:
             raise ValueError(f"rho must lie in (-1, 1), got {spec.rho}")
@@ -130,7 +132,7 @@ def monte_carlo(
     the plug-in bandwidth).  Failed fits are counted per level and excluded
     from the summaries.  Rows come back in the order of ``taus``.  The seed,
     the sizes, every level in ``taus`` and ``level`` are checked before the
-    first draw.
+    first draw, and so is ``bandwidth``, as ``fit`` checks it.
     """
     taus = [float(t) for t in taus]
     seed = seed_number(spec.seed)
@@ -140,6 +142,7 @@ def monte_carlo(
     for name, value in [("tau", t) for t in taus] + [("level", level)]:
         if not 0.0 < value < 1.0:
             raise ValueError(f"{name} must lie strictly between 0 and 1, got {value}")
+    bandwidth = None if bandwidth is None else nonnegative_number("bandwidth", bandwidth)
     order = sorted(range(len(taus)), key=lambda i: abs(taus[i] - 0.5))
     fits = [[] for _ in taus]  # per level: (beta, se, covered) of each successful fit
     for r in range(n_reps):

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ivqr.exceptions import ConvergenceError, SingularMatrixError
-from ivqr.model import EstimationProblem
+from ivqr.model import EstimationProblem, nonnegative_number
 from ivqr.projection import iv_estimate
 
 MAX_NEWTON_ITER = 200
@@ -304,9 +304,7 @@ def solve_see(
     the full homotopy on all rows, unchanged.  ``diag`` counts the
     subsample's stages and iterations with the others.
     """
-    h_request = float(h_request)
-    if not np.isfinite(h_request) or h_request < 0:
-        raise ValueError(f"h_request must be a finite nonnegative number, got {h_request}")
+    h_request = nonnegative_number("h_request", h_request)
     zw = instrument_means(prob, zhat)
     tol = tol_residual(prob, zhat, zw)
     target0 = h_request if h_request > 0 else float(np.finfo(float).tiny)

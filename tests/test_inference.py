@@ -285,6 +285,17 @@ def test_bootstrap_rejects_non_integral_reps_and_negative_seed(monkeypatch, kwar
         fit(prob, reps=1)
 
 
+@pytest.mark.parametrize("bandwidth", [-1, np.nan, np.inf])
+def test_fit_rejects_a_bad_bandwidth_before_any_work(monkeypatch, bandwidth):
+    def no_work(prob):
+        raise AssertionError("the instruments were projected")
+
+    monkeypatch.setattr(estimate_mod, "project_instruments", no_work)
+    with pytest.raises(ValueError,
+                       match=f"bandwidth must be a finite nonnegative number, got {bandwidth}"):
+        fit(iv_problem(100, seed=10), bandwidth=bandwidth)
+
+
 def test_bootstrap_accepts_integral_floats():
     prob = iv_problem(100, seed=10)
     zhat = project_instruments(prob)
@@ -311,17 +322,26 @@ def force_workers(monkeypatch, workers):
     monkeypatch.setattr(inference_mod, "_boot_workers", lambda n, reps: workers)
 
 
+def draw_weights(prob, seed, r):
+    """The weights of bootstrap draw ``r``, bit for bit."""
+    w = np.random.default_rng([seed, r]).standard_exponential(prob.n)
+    w /= w.mean()
+    w *= prob.w
+    return w
+
+
 def test_bootstrap_progress_callback(monkeypatch):
     # the replications finish in any order on two threads; progress still
-    # sees every index once, in order
+    # sees every index once, in order, on the calling thread
     prob = iv_problem(100, seed=11)
     zhat = project_instruments(prob)
     beta = solve_see(prob, zhat, 0.5).beta
     for workers in (1, 2):
         force_workers(monkeypatch, workers)
         seen = []
-        bayesian_bootstrap(prob, zhat, 0.5, beta, reps=12, seed=2, progress=seen.append)
-        assert seen == list(range(12)), workers
+        bayesian_bootstrap(prob, zhat, 0.5, beta, reps=12, seed=2,
+                           progress=lambda r: seen.append((r, threading.current_thread())))
+        assert seen == [(r, threading.current_thread()) for r in range(12)], workers
 
 
 def test_bootstrap_starts_no_thread_below_the_row_threshold(monkeypatch):
@@ -340,7 +360,7 @@ def test_bootstrap_starts_no_thread_below_the_row_threshold(monkeypatch):
 
 def test_bootstrap_on_more_threads_than_cpus_matches_serial(monkeypatch):
     # four threads on a two-CPU host, switching every microsecond, contend
-    # for the shared counter and the in-order progress: every index must
+    # for the shared (workspace, weight buffer) pairs: every index must
     # still be solved and reported once, and the covariance equal the serial
     # one bit for bit
     prob = iv_problem(2000, seed=17)
@@ -373,28 +393,25 @@ class Boom(Exception):
     pass
 
 
-@pytest.mark.parametrize("failing", ["calling", "worker"])
-def test_bootstrap_thread_failure_stops_the_others_and_is_raised(monkeypatch, failing):
-    # the failing thread raises only once the other has begun a draw, and
-    # the other finishes that draw only once the failure is out: it must
-    # then stop at its next draw, and every thread must have ended
+def test_bootstrap_thread_failure_stops_the_others_and_is_raised(monkeypatch):
+    # the thread that solves second fails on its first draw, and the one
+    # that solves first finishes its draw only once the failure is out:
+    # each must then stop at its next draw, and every thread must have ended
     prob = iv_problem(100, seed=16)
     zhat = project_instruments(prob)
     beta = solve_see(prob, zhat, 0.5).beta
     force_workers(monkeypatch, 2)
     real = inference_mod.solve_see
-    other_began, raised = threading.Event(), threading.Event()
-    other_solves = []
+    raised = threading.Event()
+    solvers = []  # the solving thread of each call, in order of entry
 
     def solve(p, z, h, beta_init=None):
-        main = threading.current_thread() is threading.main_thread()
-        if main == (failing == "calling"):
-            assert other_began.wait(10)
-            raised.set()
-            raise Boom("replication failed")
-        other_solves.append(p)
-        if len(other_solves) == 1:
-            other_began.set()
+        me = threading.get_ident()
+        solvers.append(me)
+        if solvers.count(me) == 1:
+            if solvers[0] != me:
+                raised.set()
+                raise Boom("replication failed")
             assert raised.wait(10)
             time.sleep(0.2)
         return real(p, z, h, beta_init=beta_init)
@@ -404,11 +421,33 @@ def test_bootstrap_thread_failure_stops_the_others_and_is_raised(monkeypatch, fa
     with pytest.raises(Boom, match="replication failed"):
         bayesian_bootstrap(prob, zhat, 0.5, beta, reps=40, seed=2)
     assert threading.active_count() == before
-    assert len(other_solves) == 1
+    assert len(solvers) == len(set(solvers)) == 2
+
+
+def test_bootstrap_raises_the_lowest_index_failure(monkeypatch):
+    # draw 1 raises first in time and draw 0 only after it: draw 0's error
+    # is the one raised
+    prob = iv_problem(100, seed=16)
+    zhat = project_instruments(prob)
+    beta = solve_see(prob, zhat, 0.5).beta
+    force_workers(monkeypatch, 2)
+    first = draw_weights(prob, seed=2, r=0)
+    later_raised = threading.Event()
+
+    def solve(p, z, h, beta_init=None):
+        if np.array_equal(p.w, first):
+            assert later_raised.wait(10)
+            raise Boom("draw 0 failed")
+        later_raised.set()
+        raise Boom("a later draw failed")
+
+    monkeypatch.setattr(inference_mod, "solve_see", solve)
+    with pytest.raises(Boom, match="draw 0 failed"):
+        bayesian_bootstrap(prob, zhat, 0.5, beta, reps=40, seed=2)
 
 
 def test_bootstrap_thread_that_cannot_start_is_raised(monkeypatch):
-    # the second of two extra threads fails to start: the first is stopped
+    # the second of three pool threads fails to start: the first is stopped
     # and joined, the start error comes out unmasked, and the solver log
     # gets its level back
     prob = iv_problem(100, seed=17)
@@ -457,12 +496,7 @@ def escalate_draws(monkeypatch, prob, reps, seed, chosen):
     escalated, at 1.5 times the requested bandwidth with a shifted root;
     returns the dict the other draws' betas go into, by draw index.  A draw
     is told by its weights, so the draws may run in any order."""
-    index = {}
-    for r in range(reps):
-        w = np.random.default_rng([seed, r]).standard_exponential(prob.n)
-        w /= w.mean()
-        w *= prob.w
-        index[w.tobytes()] = r
+    index = {draw_weights(prob, seed, r).tobytes(): r for r in range(reps)}
     real = inference_mod.solve_see
     kept = {}
 

@@ -126,6 +126,8 @@ def test_moment_restriction_near_zero_at_truth():
         (DgpSpec(n_instruments=2.5), "n_instruments must be an integer, got 2.5"),
         (DgpSpec(kind=RANDOM_COEFFICIENT, n_instruments=0), "n_instruments must be 1, got 0"),
         (DgpSpec(kind=RANDOM_COEFFICIENT, n_instruments=3), "n_instruments must be 1, got 3"),
+        (DgpSpec(pi=np.nan), "pi must be a finite number, got nan"),
+        (DgpSpec(pi=np.inf), "pi must be a finite number, got inf"),
     ],
 )
 def test_generate_rejects_bad_specs(bad_spec, message):
@@ -321,31 +323,36 @@ SIZES = "n_reps >= 2 and at least one tau"
 
 
 @pytest.mark.parametrize(
-    "taus, n_reps, level, message",
+    "taus, n_reps, level, bandwidth, message",
     [
-        ([0.5], 1, 0.95, SIZES),
-        ([0.5], 0, 0.95, SIZES),
-        ([], 5, 0.95, SIZES),
-        ([0.5, 1.5], 2, 0.95, "tau must lie strictly between 0 and 1, got 1.5"),
-        ([50.0], 2, 0.95, "tau must lie strictly between 0 and 1, got 50.0"),
-        ([0.0], 2, 0.95, "tau must lie strictly between 0 and 1, got 0.0"),
-        ([0.5], 2, 95.0, "level must lie strictly between 0 and 1, got 95.0"),
-        ([0.5], 2, 0.0, "level must lie strictly between 0 and 1, got 0.0"),
-        ([0.5], 2.5, 0.95, "n_reps must be an integer, got 2.5"),
-        ([0.5], "3", 0.95, "n_reps must be an integer, got '3'"),
+        ([0.5], 1, 0.95, None, SIZES),
+        ([0.5], 0, 0.95, None, SIZES),
+        ([], 5, 0.95, None, SIZES),
+        ([0.5, 1.5], 2, 0.95, None, "tau must lie strictly between 0 and 1, got 1.5"),
+        ([50.0], 2, 0.95, None, "tau must lie strictly between 0 and 1, got 50.0"),
+        ([0.0], 2, 0.95, None, "tau must lie strictly between 0 and 1, got 0.0"),
+        ([0.5], 2, 95.0, None, "level must lie strictly between 0 and 1, got 95.0"),
+        ([0.5], 2, 0.0, None, "level must lie strictly between 0 and 1, got 0.0"),
+        ([0.5], 2.5, 0.95, None, "n_reps must be an integer, got 2.5"),
+        ([0.5], "3", 0.95, None, "n_reps must be an integer, got '3'"),
+        ([0.5], 2, 0.95, -1, "bandwidth must be a finite nonnegative number, got -1"),
+        ([0.5], 2, 0.95, np.nan, "bandwidth must be a finite nonnegative number, got nan"),
+        ([0.5], 2, 0.95, np.inf, "bandwidth must be a finite nonnegative number, got inf"),
     ],
     ids=["one-rep", "no-reps", "no-taus", "tau-above-one", "percentile-tau", "zero-tau",
-         "percent-level", "zero-level", "fractional-reps", "string-reps"],
+         "percent-level", "zero-level", "fractional-reps", "string-reps", "negative-bandwidth",
+         "nan-bandwidth", "infinite-bandwidth"],
 )
 def test_monte_carlo_rejects_degenerate_sizes_before_drawing(monkeypatch, taus, n_reps,
-                                                            level, message):
+                                                            level, bandwidth, message):
     def no_draw(*args, **kwargs):
         raise AssertionError("drew a dataset or fitted one")
 
     monkeypatch.setattr(simulation_mod, "generate", no_draw)
     monkeypatch.setattr(simulation_mod, "fit", no_draw)
     with pytest.raises(ValueError, match=re.escape(message)):
-        monte_carlo(reference_dgp(n=100, seed=3), taus=taus, n_reps=n_reps, level=level)
+        monte_carlo(reference_dgp(n=100, seed=3), taus=taus, n_reps=n_reps, level=level,
+                    bandwidth=bandwidth)
 
 
 def _cold_rows(spec, taus, n_reps, level=0.95):
