@@ -317,21 +317,13 @@ def run_estimation(config: argparse.Namespace, out=None, err=None):
 
 def main(argv=None) -> int:
     try:
-        config = parse_args(argv)
+        run_estimation(parse_args(argv))
     except SystemExit as exc:
         # argparse already printed a usage message
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
-    except ValueError as exc:
+    except (ValueError, OSError, EstimationError) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT
-    try:
-        run_estimation(config)
-    except (ValueError, OSError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT
-    except EstimationError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_NUMERIC
+        return EXIT_NUMERIC if isinstance(exc, EstimationError) else EXIT_INPUT
     return EXIT_OK
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ivqr.exceptions import ConvergenceError, SingularMatrixError
-from ivqr.model import EstimationProblem, seed_number, whole_number
+from ivqr.model import EstimationProblem, positive_number, seed_number, whole_number
 from ivqr.projection import solve_nonsingular
 from ivqr.solver import _Workspace, residuals, see_jacobian, solve_see
 
@@ -55,10 +55,13 @@ def analytic_covariance(
     rescaling all weights never moves the result.  J is the solver's own
     :func:`~ivqr.solver.see_jacobian` at ``h_jacobian``, over mean(w); ``fit``
     passes max(h_used, plug-in request), since a window as thin as a tiny
-    manual bandwidth is no density estimate.  Raises
+    manual bandwidth is no density estimate.  Both bandwidths must be finite
+    and positive (ValueError naming the argument).  Raises
     :class:`SingularMatrixError` when J is singular, e.g. with no
     observation inside the window.
     """
+    h_used = positive_number("h_used", h_used)
+    h_jacobian = positive_number("h_jacobian", h_jacobian)
     beta_hat = np.asarray(beta_hat, dtype=float).ravel()
     w_mean = prob.w.mean()
     v = residuals(prob, beta_hat)
@@ -145,8 +148,7 @@ def bayesian_bootstrap(
     log, which covers the point estimate.
     """
     reps, seed = _check_bootstrap_args(reps, seed)
-    if not h_used > 0:
-        raise ValueError(f"h_used must be the point estimate's positive bandwidth, got {h_used}")
+    h_used = positive_number("h_used", h_used)
     beta_hat = np.asarray(beta_hat, dtype=float).ravel()
     start = _Workspace(prob, zhat, beta_hat, h_used)
     workers = _boot_workers(prob.n, reps)

@@ -170,6 +170,14 @@ def nonnegative_number(name: str, value) -> float:
     return h
 
 
+def positive_number(name: str, value) -> float:
+    """``value`` as a float; ValueError naming ``name`` unless it is finite and above 0."""
+    h = float(value)
+    if not (np.isfinite(h) and h > 0):
+        raise ValueError(f"{name} must be a finite positive number, got {value}")
+    return h
+
+
 def convert_quantile(quantile: float) -> float:
     """Map a quantile request to a probability.
 
@@ -288,6 +296,9 @@ class FitResult:
         p = beta.shape[0]
         if cov.shape != (p, p):
             raise ValueError(f"cov must be {p}x{p}, got {cov.shape}")
+        for name, value in (("beta", beta), ("cov", cov)):
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} contains non-finite values")
         scale = max(float(np.max(np.diag(cov))), 0.0)
         if np.max(np.abs(cov - cov.T)) > 1e-12 * (1.0 + scale):
             raise ValueError("covariance matrix is not symmetric")

@@ -12,8 +12,9 @@ residuals (capped where every residual sits inside the window), where the
 system is close to linear, halve toward the request, and warm-start each
 stage from the last.  If that first stage fails the homotopy restarts where
 the system is exactly linear; if a requested bandwidth cannot be solved the
-target is escalated geometrically until the solve succeeds or the attempt
-budget runs out.
+target is escalated geometrically, one Newton stage per new target from the
+root at the smallest converged bandwidth, until one succeeds or the attempt
+budget runs out; a target at or below a failed bandwidth is skipped but counted.
 
 Each Newton iterate forms the residual vector y - X beta once; the moment
 records its smoothing window for the Jacobian and is one matrix-vector
@@ -277,11 +278,13 @@ def solve_see(
     warm-starting each stage from the last.  If that first stage fails, the
     descent restarts from max|r0| + 1, where every observation sits inside
     the smoothing window and the system is exactly linear.  If a later stage
-    fails, the target is escalated by a factor of 1.5 and the descent
-    resumes from the smallest bandwidth that has converged so far, up to 40
-    escalations.  When the budget runs out the solution at that smallest
-    converged bandwidth is returned; ``h_used`` always reports the bandwidth
-    the returned beta actually solves.
+    fails, the target is escalated by a factor of 1.5, up to 40 escalations,
+    each new target one Newton stage from the root at the smallest converged
+    bandwidth (the IV start if none); a target at or below the last failed
+    bandwidth is skipped but counted, as its stage would repeat that failure.
+    When the budget runs out the solution at that smallest converged
+    bandwidth is returned; ``h_used`` always reports the bandwidth the
+    returned beta actually solves.
 
     ``h_request = 0`` asks for the smallest numerically feasible bandwidth:
     the descent targets the smallest positive normal float and stops wherever
@@ -323,8 +326,7 @@ def solve_see(
     if start is not None:
         stage = _stage(prob, zhat, start, target0, tol, zw, diag, *shared)
         if stage is not None:
-            beta, diag.final_residual_inf_norm = stage
-            return _converged(beta, target0, diag)
+            return _converged(target0, *stage, diag)
 
     sol = _homotopy(prob, zhat, target0, tol, zw, diag)
     if sol is not None:
@@ -338,48 +340,40 @@ def solve_see(
 
 
 def _homotopy(prob, zhat, target0, tol, zw, diag, max_escalations=MAX_ESCALATIONS):
-    """The descent from the IV start toward ``target0``, escalating the target
-    up to ``max_escalations`` times (see :func:`solve_see`); the solution, or
-    None when no stage converged."""
-    best = None  # (h, beta, norm) of the smallest converged stage
-
-    def descend(cur, seq):
-        """Run the stages in ``seq`` from ``cur``; the last beta, or None if one fails."""
-        nonlocal best
-        for h_s in seq:
-            stage = _stage(prob, zhat, cur, h_s, tol, zw, diag)
-            if stage is None:
-                return None
-            cur, diag.final_residual_inf_norm = stage
-            if best is None or h_s < best[0]:
-                best = (h_s, cur, diag.final_residual_inf_norm)
-        return cur
-
+    """The descent from the IV start toward ``target0``, then up to
+    ``max_escalations`` escalated targets of one stage each (see
+    :func:`solve_see`); the solution, or None when no stage converged."""
     start0 = iv_estimate(prob, zhat)
     resid0 = residuals(prob, start0)
     h_big = float(np.max(np.abs(resid0))) + 1.0
     h_top = min(h_big, 2.0 * float(np.std(resid0)))
 
-    for k in range(max_escalations + 1):
+    best = (np.inf, start0, np.inf)  # the smallest converged (h, beta, norm), else the IV start
+    failed = 0.0  # the last bandwidth whose stage failed
+    rungs = _ladder(h_top, target0)
+    while rungs:
+        h_s = rungs.pop(0)
+        stage = _stage(prob, zhat, best[1], h_s, tol, zw, diag)
+        if stage is not None:
+            best = (h_s, *stage)
+        elif best[0] == np.inf and h_s < h_big:
+            # the data-driven first stage failed: climb the full ladder
+            rungs = _ladder(h_big, target0)
+        else:
+            failed, rungs = h_s, []
+    if not failed:
+        return _converged(*best, diag)
+
+    for k in range(1, max_escalations + 1):
         diag.bandwidth_escalations = k
         target = target0 * ESCALATION_FACTOR**k
-        if best is None:
-            beta = descend(start0, _ladder(h_top, target))
-            if beta is None and best is None and max(h_top, target) < h_big:
-                # the data-driven first stage failed: climb the full ladder
-                h_top = h_big
-                beta = descend(start0, _ladder(h_big, target))
-        elif best[0] <= target:
-            beta = descend(best[1], [target])
-        else:
-            beta = descend(best[1], _ladder(best[0], target)[1:])
-        if beta is not None:
-            return _converged(beta, target, diag)
-
-    if best is not None:
-        h_best, beta_best, diag.final_residual_inf_norm = best
-        return _converged(beta_best, h_best, diag)
-    return None
+        if target <= failed:
+            continue  # its stage would be one that already failed
+        stage = _stage(prob, zhat, best[1], target, tol, zw, diag)
+        if stage is not None:
+            return _converged(target, *stage, diag)
+        failed = target
+    return _converged(*best, diag) if best[0] < np.inf else None
 
 
 def _subsample_root(prob, zhat, h, diag):
@@ -403,7 +397,7 @@ def _subsample_root(prob, zhat, h, diag):
     return sol.beta if sol is not None and sol.h_used == h else None
 
 
-def _converged(beta, h_used, diag: SolverDiagnostics) -> SeeSolution:
-    """The solution ``beta`` at ``h_used``, with ``diag`` marked converged."""
-    diag.converged = True
+def _converged(h_used, beta, norm, diag: SolverDiagnostics) -> SeeSolution:
+    """``beta`` at ``h_used``, with ``diag`` marked converged at final norm ``norm``."""
+    diag.converged, diag.final_residual_inf_norm = True, norm
     return SeeSolution(beta=np.array(beta), h_used=float(h_used), diag=diag)

@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -483,7 +484,7 @@ def test_clean_input_skips_cell_by_cell_reading(tmp_path, monkeypatch):
                          "--endog", "educ", "--exog", "age", "--iv", "dist", "--quantile", "0.5"])
     assert ingest_csv(config)[2] == 0
     # quoted cells, and a quoted comma in a column the model does not use
-    lines = open(config.data).read().splitlines()
+    lines = Path(config.data).read_text().splitlines()
     quoted = tmp_path / "quoted.csv"
     quoted.write_text("".join(",".join(f'"{c}"' for c in line.split(",")) + ',"a,b"\n'
                               for line in lines))
@@ -497,12 +498,12 @@ def test_clean_input_skips_cell_by_cell_reading(tmp_path, monkeypatch):
     # a missing cell is read by loadtxt as NaN; only a row of blank cells,
     # which the loop skips, or a bad cell, which it names, reaches the loop
     assert calls == []
-    gap = open(config.data).read()
+    gap = Path(config.data).read_text()
     n_cols = len(cols)
     for name, extra in (("blank_row", " ," * (n_cols - 1) + "\n"),
                         ("bad_cell", ",".join(["1x"] * n_cols) + "\n")):
         config.data = str(tmp_path / f"{name}.csv")
-        open(config.data, "w").write(gap + extra)
+        Path(config.data).write_text(gap + extra)
         if name == "blank_row":
             assert ingest_csv(config)[2] == 1
         else:

@@ -317,6 +317,24 @@ def test_bootstrap_rejects_a_bandwidth_no_draw_can_match():
             bayesian_bootstrap(prob, zhat, bad, beta, reps=10, seed=1)
 
 
+@pytest.mark.parametrize("bad", [0.0, -0.5, np.nan, np.inf])
+@pytest.mark.parametrize("call, arg", [
+    ("analytic", "h_used"), ("analytic", "h_jacobian"), ("bootstrap", "h_used"),
+])
+def test_covariance_rejects_a_bad_bandwidth(monkeypatch, call, arg, bad):
+    # a covariance is computed at finite positive bandwidths only, checked
+    # before any draw or window is built
+    prob = iv_problem(100, seed=10)
+    beta, zhat, h = point_estimate(prob, 0.5)
+    monkeypatch.setattr(inference_mod, "_Workspace", None)
+    bandwidths = {"h_used": h, "h_jacobian": h, arg: bad}
+    with pytest.raises(ValueError, match=f"^{arg} must be a finite positive number"):
+        if call == "analytic":
+            analytic_covariance(prob, zhat, beta, **bandwidths)
+        else:
+            bayesian_bootstrap(prob, zhat, bandwidths["h_used"], beta, reps=10, seed=1)
+
+
 def force_workers(monkeypatch, workers):
     """Run every bootstrap on ``workers`` threads, whatever the rows and CPUs."""
     monkeypatch.setattr(inference_mod, "_boot_workers", lambda n, reps: workers)

@@ -320,6 +320,21 @@ def test_fit_result_rejects_asymmetric_cov():
         )
 
 
+@pytest.mark.parametrize("field, cells", [
+    ("beta", [0]), ("cov", [(0, 0), (0, 1), (1, 0), (1, 1)]), ("cov", [(1, 1)]),
+    ("cov", [(0, 1), (1, 0)]),
+], ids=["beta", "cov_all", "cov_diagonal", "cov_off_diagonal"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_fit_result_rejects_non_finite_entries(field, cells, bad):
+    # NaN compares False, so the symmetry and PSD checks alone let it through
+    arrays = {"beta": np.zeros(2), "cov": np.eye(2)}
+    for cell in cells:
+        arrays[field][cell] = bad
+    with pytest.raises(ValueError, match=f"^{field} contains non-finite values"):
+        FitResult(**arrays, bandwidth=None, n_obs=10, solver=None,
+                  vcov_kind="analytic", level=0.9)
+
+
 def test_fit_result_rejects_indefinite_cov():
     beta = np.zeros(2)
     cov = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1

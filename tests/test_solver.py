@@ -23,6 +23,7 @@ from ivqr.model import EstimationProblem, build_problem
 from ivqr.exceptions import ConvergenceError
 from ivqr.bandwidth import plug_in_bandwidth
 from ivqr.projection import iv_estimate, project_instruments
+from ivqr.simulation import generate, reference_dgp
 from ivqr.solver import (
     MAX_ESCALATIONS,
     SeeSolution,
@@ -270,6 +271,25 @@ def test_exhausted_escalation_returns_best_converged():
     assert sol.h_used > 0.01
     gn = np.max(np.abs(see_residual(prob, zhat, sol.beta, sol.h_used)))
     assert gn <= tol_residual(prob, zhat)
+
+
+@pytest.mark.parametrize("h", [0.0, 1e-9])
+def test_no_newton_stage_reruns_a_failed_start(monkeypatch, h):
+    # a stage is deterministic: the same start at the same bandwidth can
+    # only fail again, so an escalation never repeats one
+    prob, _ = generate(reference_dgp(n=2000, seed=1), 0.5)
+    zhat = project_instruments(prob)
+    calls, real = [], solver_mod._damped_newton
+
+    def spy(prob_, zhat_, beta0, h_s, tol, zw=None):
+        calls.append((np.asarray(beta0, dtype=float).tobytes(), h_s))
+        return real(prob_, zhat_, beta0, h_s, tol, zw)
+
+    monkeypatch.setattr(solver_mod, "_damped_newton", spy)
+    sol = solve_see(prob, zhat, h)
+    assert sol.diag.converged and sol.diag.bandwidth_escalations >= 1
+    assert len(set(calls)) == len(calls)
+    assert sol.diag.homotopy_stages == len(calls)
 
 
 def test_zero_request_means_smallest_feasible():
