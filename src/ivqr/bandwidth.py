@@ -17,6 +17,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 from scipy.special import ndtri
 
+from ivqr.exceptions import ConvergenceError
 from ivqr.model import EstimationProblem
 from ivqr.projection import iv_estimate
 from ivqr.solver import SeeSolution, residuals, solve_see
@@ -274,11 +275,16 @@ def fit_with_plugin(
     refinement runs exactly once; manually chosen bandwidths never enter this
     function.  Returns the second solve and the second pass's report.  The
     solve's diagnostics cover both solves: the first solve's iterations,
-    homotopy stages and escalations are added to its own.
+    homotopy stages and escalations are added to its own, and to those of a
+    ``ConvergenceError`` the second solve raises.
     """
     rep1 = plug_in_bandwidth(prob, residuals(prob, iv_estimate(prob, zhat)))
     sol1 = solve_see(prob, zhat, rep1.h_requested, beta_init=beta_init)
     rep2 = plug_in_bandwidth(prob, residuals(prob, sol1.beta))
-    sol2 = solve_see(prob, zhat, rep2.h_requested, beta_init=sol1.beta)
+    try:
+        sol2 = solve_see(prob, zhat, rep2.h_requested, beta_init=sol1.beta)
+    except ConvergenceError as exc:
+        exc.diagnostics.absorb(sol1.diag)
+        raise
     sol2.diag.absorb(sol1.diag)
     return sol2, replace(rep2, h_used=sol2.h_used)

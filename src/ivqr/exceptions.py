@@ -22,10 +22,9 @@ class SingularMatrixError(EstimationError):
 class ConvergenceError(EstimationError):
     """The equation solver gave up.
 
-    From ``solve_see``, ``diagnostics`` counts that one call's work: a
-    failed plug-in refinement solve leaves out the first solve, which a
-    successful fit's ``FitResult.solver`` includes.  From the bootstrap's
-    limit on failed draws it is None.
+    From ``solve_see`` or a plug-in fit, ``diagnostics`` counts all the work
+    of the call that gave up, both of a plug-in fit's solves included.  From
+    the bootstrap's limit on failed draws it is None.
     """
 
     def __init__(self, message, diagnostics=None):

@@ -10,11 +10,12 @@ the Euclidean norm of the residual.  Small bandwidths are reached by a
 bandwidth homotopy: start from the linear IV estimate at twice the SD of its
 residuals (capped where every residual sits inside the window), where the
 system is close to linear, halve toward the request, and warm-start each
-stage from the last.  If that first stage fails the homotopy restarts where
-the system is exactly linear; if a requested bandwidth cannot be solved the
-target is escalated geometrically, one Newton stage per new target from the
-root at the smallest converged bandwidth, until one succeeds or the attempt
-budget runs out; a target at or below a failed bandwidth is skipped but counted.
+stage from the last.  If that first stage fails the descent restarts where
+the system is exactly linear.  If the descent stops above the request,
+:func:`solve_see` escalates the target geometrically, one Newton stage per
+new target from the root at the smallest converged bandwidth, until one
+succeeds or the attempt budget runs out; a target at or below a failed
+bandwidth is skipped but counted.
 
 Each Newton iterate forms the residual vector y - X beta once; the moment
 records its smoothing window for the Jacobian and is one matrix-vector
@@ -245,14 +246,6 @@ def _damped_newton(prob, zhat, beta0, h, tol, zw, ws=None):
     return beta, MAX_NEWTON_ITER, gn <= tol, gn
 
 
-def _ladder(top: float, target: float) -> list:
-    """Bandwidths from ``top`` halving down to ``target``, both included."""
-    seq = [max(top, target)]
-    while seq[-1] > target:
-        seq.append(max(seq[-1] / 2.0, target))
-    return seq
-
-
 def _stage(prob, zhat, beta0, h, tol, zw, diag, *ws):
     """One Newton stage at ``h``, counted in ``diag``: (beta, final norm), or
     None if it fails.  ``ws`` is empty or a workspace whose start is at
@@ -300,11 +293,11 @@ def solve_see(
     its buffers.
 
     A cold solve of a positive request on at least ``SUBSAMPLE_MIN_ROWS``
-    rows first runs the homotopy above, without escalation, on every k-th
+    rows first runs the descent above, without escalation, on every k-th
     row, k = n // SUBSAMPLE_MIN_ROWS + 1, and starts the same single
-    full-data Newton stage at the request from that root.  A subsample that
-    escalates or fails, or a full-data stage that fails, hands the solve to
-    the full homotopy on all rows, unchanged.  ``diag`` counts the
+    full-data Newton stage at the request from that root.  A descent that
+    stops above the request, or a full-data stage that fails, hands the
+    solve to the full homotopy on all rows, unchanged.  ``diag`` counts the
     subsample's stages and iterations with the others.
     """
     h_request = nonnegative_number("h_request", h_request)
@@ -328,9 +321,19 @@ def solve_see(
         if stage is not None:
             return _converged(target0, *stage, diag)
 
-    sol = _homotopy(prob, zhat, target0, tol, zw, diag)
-    if sol is not None:
-        return sol
+    best, failed = _homotopy(prob, zhat, target0, tol, zw, diag)
+    while failed and diag.bandwidth_escalations < MAX_ESCALATIONS:
+        diag.bandwidth_escalations += 1
+        target = target0 * ESCALATION_FACTOR**diag.bandwidth_escalations
+        if target <= failed:
+            continue  # its stage would be one that already failed
+        stage = _stage(prob, zhat, best[1], target, tol, zw, diag)
+        if stage is None:
+            failed = target
+        else:
+            best, failed = (target, *stage), 0.0
+    if best[0] < np.inf:
+        return _converged(*best, diag)
     diag.final_residual_inf_norm = np.inf
     raise ConvergenceError(
         f"smoothed estimating equations did not converge at any bandwidth within "
@@ -339,48 +342,37 @@ def solve_see(
     )
 
 
-def _homotopy(prob, zhat, target0, tol, zw, diag, max_escalations=MAX_ESCALATIONS):
-    """The descent from the IV start toward ``target0``, then up to
-    ``max_escalations`` escalated targets of one stage each (see
-    :func:`solve_see`); the solution, or None when no stage converged."""
+def _homotopy(prob, zhat, target0, tol, zw, diag):
+    """The descent from the IV start toward ``target0`` (see :func:`solve_see`),
+    one stage per bandwidth, each counted in ``diag``.
+
+    Returns ``(best, failed)``: ``best`` is the smallest converged
+    (h, beta, final norm), or (inf, IV start, inf) when no stage converged;
+    ``failed`` is the bandwidth of the stage that failed, or 0 when the stage
+    at ``target0`` converged.
+    """
     start0 = iv_estimate(prob, zhat)
     resid0 = residuals(prob, start0)
     h_big = float(np.max(np.abs(resid0))) + 1.0
-    h_top = min(h_big, 2.0 * float(np.std(resid0)))
-
-    best = (np.inf, start0, np.inf)  # the smallest converged (h, beta, norm), else the IV start
-    failed = 0.0  # the last bandwidth whose stage failed
-    rungs = _ladder(h_top, target0)
-    while rungs:
-        h_s = rungs.pop(0)
-        stage = _stage(prob, zhat, best[1], h_s, tol, zw, diag)
+    h = max(min(h_big, 2.0 * float(np.std(resid0))), target0)
+    best = (np.inf, start0, np.inf)
+    while True:
+        stage = _stage(prob, zhat, best[1], h, tol, zw, diag)
         if stage is not None:
-            best = (h_s, *stage)
-        elif best[0] == np.inf and h_s < h_big:
-            # the data-driven first stage failed: climb the full ladder
-            rungs = _ladder(h_big, target0)
+            best = (h, *stage)
+            if h == target0:
+                return best, 0.0
+            h = max(h / 2.0, target0)
+        elif best[0] == np.inf and h < h_big:
+            h = max(h_big, target0)  # the data-driven first stage failed
         else:
-            failed, rungs = h_s, []
-    if not failed:
-        return _converged(*best, diag)
-
-    for k in range(1, max_escalations + 1):
-        diag.bandwidth_escalations = k
-        target = target0 * ESCALATION_FACTOR**k
-        if target <= failed:
-            continue  # its stage would be one that already failed
-        stage = _stage(prob, zhat, best[1], target, tol, zw, diag)
-        if stage is not None:
-            return _converged(target, *stage, diag)
-        failed = target
-    return _converged(*best, diag) if best[0] < np.inf else None
+            return best, h
 
 
 def _subsample_root(prob, zhat, h, diag):
     """The homotopy's root at ``h`` on every k-th row (see :func:`solve_see`),
-    or None when it escalates or fails; its work is counted in ``diag``."""
+    or None when the descent stops above ``h``; its work is counted in ``diag``."""
     every = slice(None, None, prob.n // SUBSAMPLE_MIN_ROWS + 1)
-    sub_diag = SolverDiagnostics()
     try:
         # zhat stands in for Z; every regressor is marked endogenous, since
         # zhat does not contain X
@@ -389,12 +381,11 @@ def _subsample_root(prob, zhat, h, diag):
             tau=prob.tau, endog_idx=range(prob.p),
         )
         sub_zw = instrument_means(sub, sub.Z)
-        sol = _homotopy(sub, sub.Z, h, tol_residual(sub, sub.Z, sub_zw), sub_zw, sub_diag,
-                        max_escalations=0)
+        (_, beta, _), failed = _homotopy(sub, sub.Z, h, tol_residual(sub, sub.Z, sub_zw),
+                                         sub_zw, diag)
     except (ValueError, SingularMatrixError):  # e.g. every sampled weight is zero
-        sol = None
-    diag.absorb(sub_diag)
-    return sol.beta if sol is not None and sol.h_used == h else None
+        return None
+    return None if failed else beta
 
 
 def _converged(h_used, beta, norm, diag: SolverDiagnostics) -> SeeSolution:

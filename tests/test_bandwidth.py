@@ -1,5 +1,7 @@
 """Tests for residual scale, kernel sub-bandwidths, and plug-in selection."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +22,7 @@ from ivqr.bandwidth import (
     s_star,
 )
 from ivqr.estimate import fit
+from ivqr.exceptions import ConvergenceError
 from ivqr.model import build_problem
 from ivqr.projection import iv_estimate, project_instruments
 from ivqr.solver import solve_see
@@ -376,6 +379,38 @@ def test_fit_with_plugin_diagnostics_cover_both_solves():
         assert d.bandwidth_escalations == d1.bandwidth_escalations + d2.bandwidth_escalations
         assert d.final_residual_inf_norm == d2.final_residual_inf_norm
     assert d1.bandwidth_escalations > 0 and d2.bandwidth_escalations > 0
+
+
+def test_failed_refinement_error_counts_both_solves(monkeypatch):
+    # only the second solve fails; its error's counts are both solves' sums
+    prob = make_problem(n=500, seed=24)
+    zhat = project_instruments(prob)
+    solves = []
+
+    def second_fails(*args, **kwargs):
+        if not solves:
+            sol = solve_see(*args, **kwargs)
+            solves.append(copy.copy(sol.diag))
+            return sol
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver_mod, "_damped_newton", lambda prob_, zhat_, beta0, *rest: (
+                np.asarray(beta0, dtype=float), 1, False, np.inf))
+            try:
+                return solve_see(*args, **kwargs)
+            except ConvergenceError as exc:
+                solves.append(copy.copy(exc.diagnostics))
+                raise
+
+    monkeypatch.setattr(bandwidth_mod, "solve_see", second_fails)
+    with pytest.raises(ConvergenceError) as exc:
+        fit_with_plugin(prob, zhat)
+    first, second = solves
+    assert first.converged and first.homotopy_stages > 0
+    d = exc.value.diagnostics
+    assert not d.converged and d.final_residual_inf_norm == np.inf
+    assert d.iterations == first.iterations + second.iterations
+    assert d.homotopy_stages == first.homotopy_stages + second.homotopy_stages
+    assert d.bandwidth_escalations == first.bandwidth_escalations + second.bandwidth_escalations
 
 
 def count_iv_calls(monkeypatch):

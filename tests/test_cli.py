@@ -665,6 +665,10 @@ def test_outcome_listed_as_a_regressor_or_instrument(demo_csv, capsys, flag, col
 @pytest.mark.parametrize("flags, message", [
     (["--reps", "1"], "error: --reps must be 0 (analytic standard errors) or at least 2\n"),
     (["--reps", "10", "--seed", "-1"], "error: --seed must be non-negative with --reps, got -1\n"),
+    (["--reps", "-5"], "error: --reps cannot be negative\n"),
+    # the other command-line checks run before reading too
+    (["--level", "100"], "error: --level must lie strictly between 0 and 100, got 100.0\n"),
+    (["--exog", "age", "--iv", "age"], "error: every instrument duplicates an exogenous regressor\n"),
 ])
 def test_bootstrap_flags_checked_before_reading(demo_csv, monkeypatch, capsys, flags, message):
     def no_read(config):
@@ -699,6 +703,17 @@ def test_initial_wrong_length(demo_csv, capsys):
     )
     assert code == EXIT_INPUT
     assert "--initial supplies 1 values but the model has 2" in err
+
+
+def test_initial_not_numbers(demo_csv, capsys):
+    code, out, err = run_cli(
+        ["--data", demo_csv, "--y", "wage", "--endog", "educ", "--iv", "dist",
+         "--quantile", "0.5", "--initial", "1.0,one"],
+        capsys,
+    )
+    assert code == EXIT_INPUT
+    assert ("argument --initial: expected a comma-separated list of numbers: "
+            "could not convert string to float: 'one'") in err
 
 
 def test_too_few_usable_rows(tmp_path, capsys):

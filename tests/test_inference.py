@@ -296,6 +296,17 @@ def test_fit_rejects_a_bad_bandwidth_before_any_work(monkeypatch, bandwidth):
         fit(iv_problem(100, seed=10), bandwidth=bandwidth)
 
 
+@pytest.mark.parametrize("level", [0.0, 1.0, 95.0])
+def test_fit_rejects_a_level_outside_the_unit_interval_before_any_work(monkeypatch, level):
+    def no_work(prob):
+        raise AssertionError("the instruments were projected")
+
+    monkeypatch.setattr(estimate_mod, "project_instruments", no_work)
+    with pytest.raises(ValueError,
+                       match=f"^level must lie strictly between 0 and 1, got {level}$"):
+        fit(iv_problem(100, seed=10), level=level)
+
+
 def test_bootstrap_accepts_integral_floats():
     prob = iv_problem(100, seed=10)
     zhat = project_instruments(prob)

@@ -1,6 +1,7 @@
 """Tests for problem assembly, quantile conversion, and result containers."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -227,6 +228,40 @@ def test_problem_rejects_duplicate_columns():
                       raw_instr=np.column_stack([z, x]), quantile=0.5)
 
 
+COLUMN = np.arange(1.0, 6.0).reshape(-1, 1)
+ROW_2 = np.arange(5)[:, None] == 2
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"X": None}, "X cannot be None when no other columns fix the row count"),
+    ({"X": np.ones((5, 1, 1))}, "X must be one- or two-dimensional, got ndim=3"),
+    ({"X": np.ones((5, 0))}, "X must have at least one column"),
+    ({"y": np.where(ROW_2[:, 0], np.nan, 1.0)}, "y contains non-finite entries"),
+    ({"X": np.where(ROW_2, np.inf, COLUMN)}, "X contains non-finite entries"),
+    ({"Z": np.where(ROW_2, -np.inf, COLUMN)}, "Z contains non-finite entries"),
+    ({"w": np.where(ROW_2[:, 0], np.nan, 1.0)}, "w contains non-finite entries"),
+    ({"endog_idx": (1,)}, "endog_idx (1,) out of range for p=1"),
+], ids=["X-none", "X-3d", "X-no-columns", "y-nan", "X-inf", "Z-inf", "w-nan", "endog-idx"])
+def test_problem_rejects_malformed_arrays(fields, message):
+    arrays = {"y": np.ones(5), "X": COLUMN, "Z": COLUMN, "w": np.ones(5), **fields}
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        EstimationProblem(**arrays, tau=0.5)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"raw_exog": np.ones(39)}, "all input blocks must have the same number of rows as raw_y "
+     "(y has 40, exog 39, endog 40, instruments 40)"),
+    ({"weights": np.ones(39)}, "weights have 39 rows, expected 40"),
+    ({"add_constant": False, "raw_endog": None},
+     "no regressors: supply at least one column or keep the constant"),
+], ids=["exog-rows", "weight-rows", "no-regressors"])
+def test_build_problem_rejects_malformed_blocks(kwargs, message):
+    y, x, d, z = small_problem()
+    args = {"raw_endog": d, "raw_instr": z, **kwargs}
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build_problem(y, quantile=0.5, **args)
+
+
 @pytest.mark.parametrize("tau", [0.0, 1.0, -0.2, 1.5])
 def test_problem_rejects_bad_tau(tau):
     X = np.arange(1.0, 6.0).reshape(-1, 1)
@@ -333,6 +368,18 @@ def test_fit_result_rejects_non_finite_entries(field, cells, bad):
     with pytest.raises(ValueError, match=f"^{field} contains non-finite values"):
         FitResult(**arrays, bandwidth=None, n_obs=10, solver=None,
                   vcov_kind="analytic", level=0.9)
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"cov": np.eye(3)}, "cov must be 2x2, got (3, 3)"),
+    ({"vcov_kind": "sandwich"}, "unknown vcov_kind 'sandwich'"),
+    ({"level": 95.0}, "level must lie in (0, 1)"),
+], ids=["cov-shape", "vcov-kind", "level"])
+def test_fit_result_rejects_bad_fields(fields, message):
+    args = {"beta": np.zeros(2), "cov": np.eye(2), "vcov_kind": "analytic", "level": 0.9,
+            **fields}
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        FitResult(**args, bandwidth=None, n_obs=10, solver=None)
 
 
 def test_fit_result_rejects_indefinite_cov():

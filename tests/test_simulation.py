@@ -398,6 +398,15 @@ def test_monte_carlo_rows_follow_the_callers_tau_order():
         np.testing.assert_allclose(row.mean_bias, by_tau[row.tau].mean_bias, rtol=0, atol=1e-8)
 
 
+def test_monte_carlo_raises_when_every_replication_fails(monkeypatch):
+    def failing_fit(prob, **kwargs):
+        raise EstimationError("injected failure")
+
+    monkeypatch.setattr(simulation_mod, "fit", failing_fit)
+    with pytest.raises(EstimationError, match=r"^all 3 replications failed at tau=0\.5$"):
+        monte_carlo(reference_dgp(n=200, seed=10), taus=(0.5,), n_reps=3)
+
+
 def test_monte_carlo_failed_median_fit_leaves_its_neighbours_cold(monkeypatch):
     calls = []  # (replication, tau, started warm)
 

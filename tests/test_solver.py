@@ -494,6 +494,71 @@ def test_failed_first_rung_falls_back_to_full_ladder(monkeypatch):
     np.testing.assert_allclose(sol.beta, direct.beta, atol=1e-7)
 
 
+def test_iteration_cap_fails_the_stage(monkeypatch):
+    # the first rung needs several iterations; capped at one it fails, and
+    # the descent restarts at max|r0| + 1
+    prob = make_problem(n=200, seed=98, tau=0.3)
+    zhat = project_instruments(prob)
+    start = iv_estimate(prob, zhat)
+    resid0 = prob.y - prob.X @ start
+    h_top, h_big = 2.0 * float(np.std(resid0)), float(np.max(np.abs(resid0))) + 1.0
+    zw, tol = solver_mod.instrument_means(prob, zhat), tol_residual(prob, zhat)
+    _, nit, ok, _ = solver_mod._damped_newton(prob, zhat, start, h_top, tol, zw)
+    assert ok and nit > 1
+    monkeypatch.setattr(solver_mod, "MAX_NEWTON_ITER", 1)
+    beta, nit, ok, gn = solver_mod._damped_newton(prob, zhat, start, h_top, tol, zw)
+    assert (nit, ok) == (1, False)
+    assert gn == np.max(np.abs(see_residual(prob, zhat, beta, h_top))) > tol
+    calls, real = [], solver_mod._damped_newton
+
+    def spy(prob_, zhat_, beta0, h, tol_, zw_=None):
+        out = real(prob_, zhat_, beta0, h, tol_, zw_)
+        calls.append((h, out[1], out[2]))
+        return out
+
+    monkeypatch.setattr(solver_mod, "_damped_newton", spy)
+    sol = solve_see(prob, zhat, 0.4)
+    assert calls[0] == (h_top, 1, False) and calls[1][0] == h_big
+    assert sol.diag.homotopy_stages == len(calls)
+    assert sol.diag.iterations == sum(c[1] for c in calls)
+
+
+def test_nonfinite_step_fails_the_stage(monkeypatch):
+    # a Jacobian of subnormal entries is not singular to LAPACK, but its
+    # step overflows: the stage fails at its first iterate, and the warm
+    # solve hands over to the homotopy
+    prob = make_problem(n=200, seed=98, tau=0.3)
+    zhat = project_instruments(prob)
+    cold = solve_see(prob, zhat, 0.4)
+    start = cold.beta + 0.1
+    jacobians, real_jac = [], solver_mod.see_jacobian
+
+    def tiny_first(*args, **kwargs):
+        jacobians.append(1)
+        J = real_jac(*args, **kwargs)
+        return J * 1e-320 if len(jacobians) == 1 else J
+
+    steps, real_solve = [], np.linalg.solve
+
+    def spy_solve(a, b):
+        steps.append(real_solve(a, b))
+        return steps[-1]
+
+    monkeypatch.setattr(solver_mod, "see_jacobian", tiny_first)
+    monkeypatch.setattr(np.linalg, "solve", spy_solve)
+    zw, tol = solver_mod.instrument_means(prob, zhat), tol_residual(prob, zhat)
+    beta, nit, ok, gn = solver_mod._damped_newton(prob, zhat, start, 0.4, tol, zw)
+    assert not np.isfinite(steps[0]).all()
+    assert (nit, ok) == (0, False)
+    assert np.array_equal(beta, start)
+    assert gn == np.max(np.abs(see_residual(prob, zhat, start, 0.4)))
+    jacobians.clear()
+    sol = solve_see(prob, zhat, 0.4, beta_init=start)
+    assert np.array_equal(sol.beta, cold.beta)
+    assert sol.diag.homotopy_stages == cold.diag.homotopy_stages + 1
+    assert sol.diag.iterations == cold.diag.iterations
+
+
 @pytest.mark.parametrize(
     "path", ["warm", "cold", "first_rung_fallback", "escalated", "exhausted", "error"]
 )
