@@ -14,11 +14,12 @@ from scipy.special import ndtr
 
 from ivqr.estimate import DEFAULT_SEED, fit
 from ivqr.exceptions import EstimationError
-from ivqr.model import build_problem
+from ivqr.model import build_problem, check_bootstrap_args, nonnegative_number
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
+_VCE_LABELS = {"analytic": "Robust", "bootstrap": "Bootstrap"}  # by FitResult.vcov_kind
 
 
 def _comma_list(text: str) -> list[str]:
@@ -70,14 +71,11 @@ def parse_args(argv) -> argparse.Namespace:
         )
     if not 0.0 < args.level < 100.0:
         raise ValueError(f"--level must lie strictly between 0 and 100, got {args.level}")
-    if args.reps < 0:
-        raise ValueError("--reps cannot be negative")
-    if args.reps == 1:
-        raise ValueError("--reps must be 0 (analytic standard errors) or at least 2")
-    if args.reps > 0 and args.seed < 0:
-        raise ValueError(f"--seed must be non-negative with --reps, got {args.seed}")
-    if args.bandwidth is not None and (not np.isfinite(args.bandwidth) or args.bandwidth < 0):
-        raise ValueError("--bandwidth must be a finite nonnegative number")
+    # fit's own checks, before the CSV is read
+    if args.reps:
+        check_bootstrap_args(args.reps, args.seed)
+    if args.bandwidth is not None:
+        nonnegative_number("bandwidth", args.bandwidth)
     for flag in ("exog", "endog", "iv"):
         if args.y in getattr(args, flag):
             raise ValueError(f"the --y column {args.y!r} is also listed under --{flag}")
@@ -223,8 +221,7 @@ def render_table(result, tau, names, out):
         f"bandwidth used = {result.bandwidth.h_used:.6g} "
         f"(requested {result.bandwidth.h_requested:.6g})\n"
     )
-    vce = "Robust" if result.vcov_kind == "analytic" else "Bootstrap"
-    out.write(f"vce: {vce}\n")
+    out.write(f"vce: {_VCE_LABELS[result.vcov_kind]}\n")
     if result.bandwidth.escalated_past_max:
         out.write(
             "warning: bandwidth escalated above the largest plug-in candidate "
@@ -266,15 +263,14 @@ def results_json(result, tau, names, config: argparse.Namespace) -> dict:
         "reps": int(config.reps),
         "q": float(tau),
         "level": float(config.level),
-        "vcetype": "Robust" if result.vcov_kind == "analytic" else "Bootstrap",
+        "vcetype": _VCE_LABELS[result.vcov_kind],
         "seed": int(config.seed),
     }
 
 
-def run_estimation(config: argparse.Namespace, out=None, err=None):
+def run_estimation(config: argparse.Namespace):
     """Full pipeline: ingest, estimate, render, optionally dump JSON."""
-    out = sys.stdout if out is None else out
-    err = sys.stderr if err is None else err
+    out = sys.stdout
     prob, names, n_dropped = ingest_csv(config)
     if n_dropped:
         out.write(f"note: dropped {n_dropped} row(s) with missing values\n")
@@ -287,7 +283,7 @@ def run_estimation(config: argparse.Namespace, out=None, err=None):
         progress = _make_progress(out)
     solver_log = logging.getLogger("ivqr.solver")
     log_level = solver_log.level
-    handler = logging.StreamHandler(err)
+    handler = logging.StreamHandler(sys.stderr)
     if config.log_iterations:
         solver_log.addHandler(handler)
         solver_log.setLevel(logging.DEBUG)

@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from ivqr.bandwidth import BandwidthReport, fit_with_plugin, plug_in_bandwidth
-from ivqr.inference import _check_bootstrap_args, analytic_covariance, bayesian_bootstrap
-from ivqr.model import EstimationProblem, FitResult, nonnegative_number
+from ivqr.inference import analytic_covariance, bayesian_bootstrap
+from ivqr.model import EstimationProblem, FitResult, check_bootstrap_args, nonnegative_number
 from ivqr.projection import project_instruments
 from ivqr.solver import residuals, solve_see
 
@@ -47,7 +47,7 @@ def fit(
         raise ValueError(f"level must lie strictly between 0 and 1, got {level}")
     bandwidth = None if bandwidth is None else nonnegative_number("bandwidth", bandwidth)
     if reps != 0:
-        reps, seed = _check_bootstrap_args(reps, seed)
+        reps, seed = check_bootstrap_args(reps, seed)
     zhat = project_instruments(prob)
     if bandwidth is None:
         sol, report = fit_with_plugin(prob, zhat, beta_init=beta_init)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import logging
 import os
 import queue
 import threading
@@ -12,9 +11,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ivqr.exceptions import ConvergenceError, SingularMatrixError
-from ivqr.model import EstimationProblem, positive_number, seed_number, whole_number
+from ivqr.model import EstimationProblem, check_bootstrap_args, positive_number
 from ivqr.projection import solve_nonsingular
-from ivqr.solver import _Workspace, residuals, see_jacobian, solve_see
+from ivqr.solver import _QUIET, _Workspace, residuals, see_jacobian, solve_see
 
 # Bootstraps on at least this many rows run their replications on several
 # threads: numpy releases the interpreter lock inside the O(n) passes, which
@@ -77,15 +76,6 @@ def analytic_covariance(
     return CovarianceEstimate(cov=cov, kind="analytic", reps_used=0)
 
 
-def _check_bootstrap_args(reps, seed) -> tuple:
-    """``(reps, seed)`` as ints; ValueError naming the argument unless
-    ``reps`` is a whole number of at least 2 and ``seed`` a non-negative one."""
-    reps, seed = whole_number("reps", reps), seed_number(seed)
-    if reps < 2:
-        raise ValueError(f"bootstrap needs at least 2 replications, got {reps}")
-    return reps, seed
-
-
 def _boot_workers(n: int, reps: int) -> int:
     """How many threads run the replications of a bootstrap on ``n`` rows:
     1 below ``BOOT_THREAD_MIN_ROWS``, else the CPUs this process may use,
@@ -145,9 +135,10 @@ def bayesian_bootstrap(
     ``progress`` is called once per finished replication with the
     replication index, in index order, on the calling thread.  The
     replications' Newton steps stay out of the ``ivqr.solver`` iteration
-    log, which covers the point estimate.
+    log, which covers the point estimate; no logger setting changes, so
+    concurrent fits each log their own point estimate.
     """
-    reps, seed = _check_bootstrap_args(reps, seed)
+    reps, seed = check_bootstrap_args(reps, seed)
     h_used = positive_number("h_used", h_used)
     beta_hat = np.asarray(beta_hat, dtype=float).ravel()
     start = _Workspace(prob, zhat, beta_hat, h_used)
@@ -163,6 +154,7 @@ def bayesian_bootstrap(
         if stop.is_set():
             return None
         ws, w_r = spare.get()
+        quiet = _QUIET.set(True)
         try:
             np.random.default_rng([seed, r]).standard_exponential(out=w_r)
             w_r /= w_r.mean()
@@ -175,13 +167,11 @@ def bayesian_bootstrap(
             stop.set()
             raise
         finally:
+            _QUIET.reset(quiet)
             spare.put((ws, w_r))
 
     betas = np.empty((reps, prob.p))
     ok = np.zeros(reps, dtype=bool)
-    solver_log = logging.getLogger("ivqr.solver")
-    log_level = solver_log.level
-    solver_log.setLevel(logging.INFO)
     pool = ThreadPoolExecutor(workers) if workers > 1 else None
     try:
         for r, beta_r in enumerate((pool.map if pool else map)(replicate, range(reps))):
@@ -192,7 +182,6 @@ def bayesian_bootstrap(
     finally:
         if pool:
             pool.shutdown(cancel_futures=True)
-        solver_log.setLevel(log_level)
     n_fail = int(reps - ok.sum())
     if n_fail > 0.05 * reps:
         raise ConvergenceError(

@@ -162,6 +162,15 @@ def seed_number(value) -> int:
     return seed
 
 
+def check_bootstrap_args(reps, seed) -> tuple:
+    """``(reps, seed)`` as ints; ValueError naming the argument unless
+    ``reps`` is a whole number of at least 2 and ``seed`` a non-negative one."""
+    reps, seed = whole_number("reps", reps), seed_number(seed)
+    if reps < 2:
+        raise ValueError(f"bootstrap needs at least 2 replications, got {reps}")
+    return reps, seed
+
+
 def nonnegative_number(name: str, value) -> float:
     """``value`` as a float; ValueError naming ``name`` unless it is finite and at least 0."""
     h = float(value)

@@ -30,11 +30,13 @@ strided subsample first and starts one full-data Newton stage from its root,
 as a warm start does; if either fails the full homotopy runs on all rows
 (details in :func:`solve_see`).
 
-Each accepted Newton step is logged at DEBUG on the ``ivqr.solver`` logger.
+Each accepted Newton step outside a bootstrap draw is logged at DEBUG on
+the ``ivqr.solver`` logger.
 """
 
 from __future__ import annotations
 
+import contextvars
 import copy
 import logging
 from dataclasses import dataclass
@@ -57,6 +59,8 @@ ESCALATION_FACTOR = 1.5
 SUBSAMPLE_MIN_ROWS = 50_000
 
 _LOG = logging.getLogger(__name__)
+# set while a bootstrap draw solves: its Newton steps stay out of the log
+_QUIET = contextvars.ContextVar("ivqr.solver.quiet", default=False)
 
 
 @dataclass
@@ -237,7 +241,7 @@ def _damped_newton(prob, zhat, beta0, h, tol, zw, ws=None):
         else:
             return beta, it + 1, False, gn
         beta, g, v = cand, gc, vc
-        if _LOG.isEnabledFor(logging.DEBUG):
+        if _LOG.isEnabledFor(logging.DEBUG) and not _QUIET.get():
             _LOG.debug(
                 "h=%.8g iter=%d resid_inf=%.3e step=%.3e",
                 h, it + 1, float(np.max(np.abs(g))), float(np.linalg.norm(lam * step)),

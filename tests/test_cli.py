@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 import ivqr.cli
 import ivqr.estimate
+import ivqr.inference
 from ivqr.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, ingest_csv, main, parse_args
 from ivqr.exceptions import EstimationError
 from ivqr.model import build_problem
@@ -256,13 +257,17 @@ def test_log_iterations_goes_to_stderr(demo_csv, capsys):
     assert all(pat.match(l) for l in lines)
 
 
-def test_log_iterations_leave_out_bootstrap_draws(demo_csv, capsys):
+def test_log_iterations_leave_out_bootstrap_draws(demo_csv, capsys, monkeypatch):
+    # the draws run on the calling thread (W = 1) or on a pool (W = 2)
     args = ["--data", demo_csv, "--y", "wage", "--endog", "educ", "--iv", "dist",
             "--quantile", "0.5", "--log-iterations"]
     _, _, err_analytic = run_cli(args, capsys)
-    code, _, err_boot = run_cli(args + ["--reps", "20"], capsys)
-    assert code == EXIT_OK
-    assert err_boot == err_analytic
+    assert err_analytic
+    for workers in (1, 2):
+        monkeypatch.setattr(ivqr.inference, "_boot_workers", lambda n, reps: workers)
+        code, _, err_boot = run_cli(args + ["--reps", "20"], capsys)
+        assert code == EXIT_OK
+        assert err_boot == err_analytic
 
 
 def test_numeric_failure_keeps_iteration_lines_and_detaches_logger(
@@ -663,12 +668,14 @@ def test_outcome_listed_as_a_regressor_or_instrument(demo_csv, capsys, flag, col
 
 
 @pytest.mark.parametrize("flags, message", [
-    (["--reps", "1"], "error: --reps must be 0 (analytic standard errors) or at least 2\n"),
-    (["--reps", "10", "--seed", "-1"], "error: --seed must be non-negative with --reps, got -1\n"),
-    (["--reps", "-5"], "error: --reps cannot be negative\n"),
+    # the library's own checks, with its messages
+    (["--reps", "1"], "error: bootstrap needs at least 2 replications, got 1\n"),
+    (["--reps", "10", "--seed", "-1"], "error: seed must be a non-negative integer, got -1\n"),
+    (["--reps", "-5"], "error: bootstrap needs at least 2 replications, got -5\n"),
     # the other command-line checks run before reading too
     (["--level", "100"], "error: --level must lie strictly between 0 and 100, got 100.0\n"),
     (["--exog", "age", "--iv", "age"], "error: every instrument duplicates an exogenous regressor\n"),
+    (["--bandwidth", "-1"], "error: bandwidth must be a finite nonnegative number, got -1.0\n"),
 ])
 def test_bootstrap_flags_checked_before_reading(demo_csv, monkeypatch, capsys, flags, message):
     def no_read(config):
@@ -745,7 +752,7 @@ def test_negative_bandwidth(demo_csv, capsys):
         capsys,
     )
     assert code == EXIT_INPUT
-    assert "--bandwidth" in err
+    assert err == "error: bandwidth must be a finite nonnegative number, got -1.0\n"
 
 
 # ----------------------------------------------------- escalation warning

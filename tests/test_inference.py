@@ -6,6 +6,7 @@ standard-normal regressors that is a fully closed form.
 """
 
 import logging
+import os
 import sys
 import threading
 import time
@@ -387,6 +388,18 @@ def test_bootstrap_starts_no_thread_below_the_row_threshold(monkeypatch):
     bayesian_bootstrap(prob, zhat, 0.5, beta, reps=12, seed=2)
 
 
+def test_boot_workers_without_an_affinity_call(monkeypatch):
+    # where os has no sched_getaffinity the CPU count stands in, and an
+    # unknown count means one thread
+    monkeypatch.delattr(os, "sched_getaffinity")
+    n = inference_mod.BOOT_THREAD_MIN_ROWS
+    for reps in (1, 2, 200):
+        assert inference_mod._boot_workers(n, reps) == min(os.cpu_count(), reps, 2)
+    for cpus, want in [(None, 1), (1, 1), (8, 2)]:
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert inference_mod._boot_workers(n, 200) == want
+
+
 def test_bootstrap_on_more_threads_than_cpus_matches_serial(monkeypatch):
     # four threads on a two-CPU host, switching every microsecond, contend
     # for the shared (workspace, weight buffer) pairs: every index must
@@ -478,7 +491,7 @@ def test_bootstrap_raises_the_lowest_index_failure(monkeypatch):
 def test_bootstrap_thread_that_cannot_start_is_raised(monkeypatch):
     # the second of three pool threads fails to start: the first is stopped
     # and joined, the start error comes out unmasked, and the solver log
-    # gets its level back
+    # keeps its level
     prob = iv_problem(100, seed=17)
     zhat = project_instruments(prob)
     beta = solve_see(prob, zhat, 0.5).beta
@@ -505,6 +518,48 @@ def test_bootstrap_thread_that_cannot_start_is_raised(monkeypatch):
         solver_log.setLevel(level)
     assert threading.active_count() == before
     assert len(starts) == 2
+
+
+def test_bootstrap_leaves_the_solver_log_level_alone(caplog):
+    # the draws stay out of the log without lowering the logger's level,
+    # which every thread shares
+    caplog.set_level(logging.DEBUG, logger="ivqr.solver")
+    solver_log = logging.getLogger("ivqr.solver")
+    levels = []
+    fit(iv_problem(200, seed=5), reps=5, progress=lambda r: levels.append(solver_log.level))
+    assert levels == [logging.DEBUG] * 5
+
+
+def test_point_estimate_logs_while_another_thread_bootstraps(caplog):
+    # thread A waits inside its bootstrap's progress; meanwhile a fit on
+    # this thread logs every Newton step it logs alone
+    caplog.set_level(logging.DEBUG, logger="ivqr.solver")
+    prob_a, prob_b = iv_problem(200, seed=5), iv_problem(200, seed=6)
+    here = threading.get_ident()
+
+    def steps():
+        return sum(rec.thread == here for rec in caplog.records)
+
+    fit(prob_b)
+    alone = steps()
+    assert alone > 0
+    caplog.clear()
+    waiting, release = threading.Event(), threading.Event()
+
+    def wait(r):
+        waiting.set()
+        release.wait(10)
+
+    a = threading.Thread(target=fit, args=(prob_a,), kwargs={"reps": 5, "progress": wait})
+    a.start()
+    try:
+        assert waiting.wait(10)
+        fit(prob_b)
+    finally:
+        release.set()
+        a.join(30)
+    assert not a.is_alive()
+    assert steps() == alone
 
 
 def test_bootstrap_aborts_when_replications_fail(monkeypatch):
