@@ -15,10 +15,9 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.special import ndtri
 
 from ivqr.exceptions import ConvergenceError
-from ivqr.model import EstimationProblem
+from ivqr.model import EstimationProblem, ndtri
 from ivqr.projection import iv_estimate
 from ivqr.solver import SeeSolution, residuals, solve_see
 

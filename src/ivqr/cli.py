@@ -6,11 +6,11 @@ import argparse
 import csv
 import json
 import logging
+import math
 import sys
 import warnings
 
 import numpy as np
-from scipy.special import ndtr
 
 from ivqr.estimate import DEFAULT_SEED, fit
 from ivqr.exceptions import EstimationError
@@ -240,7 +240,7 @@ def render_table(result, tau, names, out):
         b = result.beta[j]
         s = se[j]
         z = b / s if s > 0 else np.inf * np.sign(b)
-        pval = 2.0 * (1.0 - ndtr(abs(z)))
+        pval = math.erfc(abs(z) / math.sqrt(2.0))
         out.write(
             f"{name:<{name_w}}{b:>12.6g}{s:>12.6g}{z:>9.2f}{pval:>9.3f}"
             f"{ci[j, 0]:>13.6g}{ci[j, 1]:>13.6g}\n"

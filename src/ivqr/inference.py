@@ -108,7 +108,9 @@ def bayesian_bootstrap(
     bandwidth, warm-started from the point estimate.  A replication whose
     warm solve fails falls back to the full homotopy; it counts as failed
     if that raises or escalates away from ``h_used``, since its root then
-    solves another equation.  More than 5 percent failures abort.  The
+    solves another equation.  More than 5 percent failures abort with a
+    :class:`ConvergenceError` that counts the escalated draws, with the
+    largest bandwidth one reached, apart from the draws that raised.  The
     covariance is the sample covariance of the kept estimates (denominator
     kept - 1), taken in replication order.
 
@@ -149,8 +151,8 @@ def bayesian_bootstrap(
     stop = threading.Event()
 
     def replicate(r):
-        """The kept beta of replication ``r``, or None if it failed or
-        another replication raised."""
+        """(beta, bandwidth) of replication ``r``'s solve, or None if it
+        raised or another replication raised."""
         if stop.is_set():
             return None
         ws, w_r = spare.get()
@@ -160,7 +162,7 @@ def bayesian_bootstrap(
             w_r /= w_r.mean()
             w_r *= prob.w
             sol = solve_see(prob.reweighted(w_r), zhat, h_used, beta_init=ws)
-            return sol.beta if sol.h_used == h_used else None
+            return sol.beta, sol.h_used
         except (ConvergenceError, SingularMatrixError):
             return None
         except BaseException:
@@ -172,11 +174,16 @@ def bayesian_bootstrap(
 
     betas = np.empty((reps, prob.p))
     ok = np.zeros(reps, dtype=bool)
+    raised, reached = 0, []  # draws that raised; bandwidths of those that escalated
     pool = ThreadPoolExecutor(workers) if workers > 1 else None
     try:
-        for r, beta_r in enumerate((pool.map if pool else map)(replicate, range(reps))):
-            if beta_r is not None:
-                betas[r], ok[r] = beta_r, True
+        for r, solved in enumerate((pool.map if pool else map)(replicate, range(reps))):
+            if solved is None:
+                raised += 1
+            elif solved[1] != h_used:
+                reached.append(solved[1])
+            else:
+                betas[r], ok[r] = solved[0], True
             if progress is not None:
                 progress(r)
     finally:
@@ -184,9 +191,10 @@ def bayesian_bootstrap(
             pool.shutdown(cancel_futures=True)
     n_fail = int(reps - ok.sum())
     if n_fail > 0.05 * reps:
-        raise ConvergenceError(
-            f"{n_fail} of {reps} bootstrap replications failed to converge"
-        )
+        where = (f" above h_used = {h_used:.6g}, to at most {max(reached):.6g} (usually discrete "
+                 "regressors or instruments at outer quantiles)," if reached else "")
+        raise ConvergenceError(f"{n_fail} of {reps} bootstrap replications failed: "
+                               f"{len(reached)} escalated{where} and {raised} raised")
     good = betas[ok]
     cov = np.cov(good, rowvar=False, ddof=1)
     cov = np.atleast_2d(cov)

@@ -4,7 +4,6 @@ and the one rank guard every linear solve in the package goes through."""
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from ivqr.exceptions import RankDeficientError, SingularMatrixError
 from ivqr.model import EstimationProblem
@@ -24,6 +23,7 @@ def check_rank(A, label):
     rank = int(np.sum(svals > RANK_RTOL * smax)) if smax > 0 else 0
     k = A.shape[1]
     if rank < k:
+        import scipy.linalg  # here, not at import: runs on rank-deficient input only
         _, _, piv = scipy.linalg.qr(A, mode="economic", pivoting=True)
         raise RankDeficientError(
             f"{label} is rank deficient (rank {rank} of {k}); "

@@ -6,11 +6,10 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import ndtri
 
 from ivqr.estimate import fit
 from ivqr.exceptions import EstimationError
-from ivqr.model import build_problem, nonnegative_number, seed_number, whole_number
+from ivqr.model import build_problem, ndtri, nonnegative_number, seed_number, whole_number
 
 LOCATION_SHIFT = "location-shift"
 RANDOM_COEFFICIENT = "random-coefficient"
@@ -79,6 +78,7 @@ def generate(spec: DgpSpec, tau: float = 0.5):
         def true_beta_at(t):
             return np.array([1.0, 1.0 + ndtri(t)])
     elif spec.kind == RANDOM_COEFFICIENT:
+        from scipy.special import ndtri as ndtri_array  # vectorised, not a call per row
         k = whole_number("n_instruments", spec.n_instruments)
         if k != 1:
             raise ValueError(f"the {RANDOM_COEFFICIENT} design has one instrument; "
@@ -87,7 +87,7 @@ def generate(spec: DgpSpec, tau: float = 0.5):
         z = rng.standard_normal(n)
         e = rng.standard_normal(n)
         x = np.exp(spec.pi * z + 0.5 * e) * (0.5 + u)
-        y = ndtri(u) + (1.0 + u) * x
+        y = ndtri_array(u) + (1.0 + u) * x
 
         def true_beta_at(t):
             return np.array([1.0 + t, ndtri(t)])

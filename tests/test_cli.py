@@ -5,6 +5,7 @@ also exercises the installed console script through a subprocess.
 """
 
 import csv
+import io
 import json
 import logging
 import re
@@ -12,15 +13,18 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import ndtr
 
 import ivqr.cli
 import ivqr.estimate
 import ivqr.inference
-from ivqr.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, ingest_csv, main, parse_args
+from ivqr.cli import (EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, ingest_csv, main, parse_args,
+                      render_table)
 from ivqr.exceptions import EstimationError
 from ivqr.model import build_problem
 
@@ -316,6 +320,23 @@ def test_numpy_global_rng_untouched(demo_csv, capsys):
     assert before[0] == after[0]
     np.testing.assert_array_equal(before[1], after[1])
     assert before[2:] == after[2:]
+
+
+def test_table_p_values_equal_the_normal_cdf_formula():
+    # the P>|z| column prints erfc(|z| / sqrt 2); to its three decimals that
+    # equals 2 (1 - Phi(|z|)) with scipy's Phi, here on 1e5 values of z, each
+    # a coefficient with standard error 1
+    rng = np.random.default_rng(26)
+    z = np.concatenate([rng.uniform(-5.0, 5.0, 90_000), rng.uniform(-40.0, 40.0, 9_995),
+                        [0.0, -0.0, 1e-300, np.inf, -np.inf]])
+    n = z.size
+    result = SimpleNamespace(
+        level=0.95, n_obs=n, vcov_kind="analytic", beta=z, se=np.ones(n), ci=np.zeros((n, 2)),
+        bandwidth=SimpleNamespace(h_used=1.0, h_requested=1.0, escalated_past_max=False))
+    out = io.StringIO()
+    render_table(result, 0.5, [f"x{j}" for j in range(n)], out)
+    got = [row.split()[4] for row in out.getvalue().splitlines()[-n:]]
+    assert got == [f"{p:.3f}" for p in 2.0 * (1.0 - ndtr(np.abs(z)))]
 
 
 # --------------------------------------------------------- missing values

@@ -571,7 +571,7 @@ def test_bootstrap_aborts_when_replications_fail(monkeypatch):
         raise ConvergenceError("no")
 
     monkeypatch.setattr(inference_mod, "solve_see", always_raise)
-    with pytest.raises(ConvergenceError, match="replications failed"):
+    with pytest.raises(ConvergenceError, match="replications failed: 0 escalated and 10 raised"):
         bayesian_bootstrap(prob, zhat, 0.5, beta, reps=10, seed=3)
 
 
@@ -615,7 +615,9 @@ def test_bootstrap_counts_escalated_draws_against_failure_budget(monkeypatch):
     zhat = project_instruments(prob)
     beta = solve_see(prob, zhat, 0.5).beta
     escalate_draws(monkeypatch, prob, 10, 3, {2, 5, 9})
-    with pytest.raises(ConvergenceError, match="3 of 10 bootstrap replications failed"):
+    with pytest.raises(ConvergenceError, match="3 of 10 bootstrap replications failed: 3 escalated "
+                       r"above h_used = 0\.5, to at most 0\.75 \(usually discrete regressors "
+                       r"or instruments at outer quantiles\), and 0 raised"):
         bayesian_bootstrap(prob, zhat, 0.5, beta, reps=10, seed=3)
 
 

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from oracles import unsmoothed_moments
-from scipy.special import ndtri
+from scipy.special import ndtri as scipy_ndtri
 
 from ivqr.estimate import fit
-from ivqr.model import EstimationProblem, FitResult, build_problem, convert_quantile
+from ivqr.model import EstimationProblem, FitResult, build_problem, convert_quantile, ndtri
 
 
 def small_problem(n=40, seed=3):
@@ -50,6 +50,41 @@ def test_convert_quantile_percentiles_land_in_unit_interval(pct):
     tau = convert_quantile(pct)
     assert 0.0 < tau < 1.0
     assert tau == pct / 100.0
+
+
+# --------------------------------------------------------- normal quantile
+
+
+def ndtri_grid():
+    """Probabilities through all three of Cephes ndtri's approximations and
+    both tails: uniform draws, an even grid with 0 and 1, log-uniform tails
+    down to 1e-300 and their complements, each branch edge with its
+    neighbouring doubles, and the quantile and level values the tests use."""
+    rng = np.random.default_rng(26)
+    tails = 10.0 ** rng.uniform(-300.0, 0.0, size=15_000)
+    edges = np.array([math.exp(-2), 1 - math.exp(-2), math.exp(-32), 1 - math.exp(-32),
+                      5e-324, 2.0**-53, 1 - 2.0**-53, 0.5])
+    taus = np.array([0.02, 0.05, 0.08, 0.1, 0.25, 0.3, 0.35, 0.4, 0.6, 0.75, 0.8, 0.9, 0.92,
+                     0.95, 0.975, 0.98, 0.995])
+    return np.concatenate([rng.uniform(size=30_000), np.linspace(0.0, 1.0, 20_001), tails,
+                           1 - tails, edges, np.nextafter(edges, 0), np.nextafter(edges, 1), taus])
+
+
+def test_ndtri_equals_scipy_bit_for_bit():
+    p = ndtri_grid()
+    got = np.array([ndtri(v) for v in p.tolist()])
+    assert got.tobytes() == scipy_ndtri(p).tobytes()
+    assert ndtri(np.float64(0.25)) == scipy_ndtri(0.25)
+
+
+@pytest.mark.parametrize("p, want", [
+    (0.0, -math.inf), (1.0, math.inf), (-1e-300, math.nan), (1.0 + 2.0**-52, math.nan),
+    (-math.inf, math.nan), (math.inf, math.nan), (math.nan, math.nan),
+])
+def test_ndtri_edges(p, want):
+    got = ndtri(p)
+    assert type(got) is float
+    assert got == want or (math.isnan(got) and math.isnan(want))
 
 
 # -------------------------------------------------------------- assembly
@@ -334,7 +369,7 @@ def test_fit_se_and_ci_are_read_only_and_derived_from_cov(reps):
     res = fit(prob, level=0.9, reps=reps)
     assert res.vcov_kind == ("analytic" if reps == 0 else "bootstrap")
     se = np.sqrt(np.diag(res.cov))
-    zq = ndtri(0.5 * (1.0 + 0.9))
+    zq = scipy_ndtri(0.5 * (1.0 + 0.9))
     ci = np.column_stack([res.beta - zq * se, res.beta + zq * se])
     assert res.se.tobytes() == se.tobytes() and res.se.shape == se.shape
     assert res.ci.tobytes() == ci.tobytes() and res.ci.shape == ci.shape
