@@ -65,10 +65,13 @@ def analytic_covariance(
     w_mean = prob.w.mean()
     v = residuals(prob, beta_hat)
     J = see_jacobian(prob, zhat, beta_hat, h_jacobian, v=v) / w_mean
+    # psi, psi^2 and w~ psi^2 overwrite the residuals in place
     psi = np.clip(v, -h_used, h_used, out=v)
     psi *= -0.5 / h_used
     psi += 0.5 - prob.tau
-    S = (zhat * (psi * psi * (prob.w / w_mean))[:, None]).T @ zhat / prob.n
+    s = np.multiply(psi, psi, out=psi)
+    s *= prob.w / w_mean
+    S = (zhat * s[:, None]).T @ zhat / prob.n
     J_inv = solve_nonsingular(J, np.eye(prob.p), "Jacobian of the smoothed equations is "
                               "singular; too few observations sit inside the smoothing window")
     cov = J_inv @ S @ J_inv.T / prob.n

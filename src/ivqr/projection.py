@@ -10,18 +10,38 @@ from ivqr.model import EstimationProblem
 
 # singular values below this share of the largest count as zero
 RANK_RTOL = 1e-10
+# a Gram matrix G = A' diag(w) A whose eigenvalues all exceed this share of
+# the largest passes the rank guard with no SVD.  Rounding moves G's
+# eigenvalues by at most about n q eps lambda_max (n q eps = 8.9e-10 at
+# n = 1e6, q = 4), and the cut never falls below ten times that, so an
+# accepted matrix has a singular-value ratio of at least about
+# sqrt(GRAM_RTOL) = 1e-4.  That is far above RANK_RTOL, so the SVD accepts it
+# too: on the Gram's scale its cut is RANK_RTOL^2 = 1e-20.
+GRAM_RTOL = 1e-8
 
 
-def check_rank(A, label):
-    """Raise :class:`RankDeficientError` unless ``A`` has full column rank.
+def check_rank(A, label, w=None):
+    """Raise :class:`RankDeficientError` unless ``diag(sqrt(w)) A`` (``A``
+    when ``w`` is None) has full column rank.
 
     The rank counts singular values above ``RANK_RTOL`` times the largest; a
-    column-pivoted QR then names a column that adds nothing new.
+    column-pivoted QR then names a column that adds nothing new.  Both run
+    only when the Gram matrix A' diag(w) A, built one column at a time, is
+    not clearly nonsingular (see ``GRAM_RTOL``), so a full-rank tall matrix
+    costs q passes over its rows and no copy of it.
     """
+    k = A.shape[1]
+    gram = np.empty((k, k))
+    for j in range(k):
+        gram[:, j] = A.T @ (A[:, j] if w is None else A[:, j] * w)
+    lam = np.linalg.eigvalsh(gram)
+    if k and lam[0] > max(GRAM_RTOL, 10 * A.size * np.finfo(float).eps) * lam[-1]:
+        return
+    if w is not None:
+        A = A * np.sqrt(w)[:, None]
     svals = np.linalg.svd(A, compute_uv=False)
     smax = svals[0] if svals.size else 0.0
     rank = int(np.sum(svals > RANK_RTOL * smax)) if smax > 0 else 0
-    k = A.shape[1]
     if rank < k:
         import scipy.linalg  # here, not at import: runs on rank-deficient input only
         _, _, piv = scipy.linalg.qr(A, mode="economic", pivoting=True)
@@ -50,14 +70,13 @@ def project_instruments(prob: EstimationProblem) -> np.ndarray:
     when the weighted instruments lose column rank.
     """
     Z = prob.Z
-    sw = np.sqrt(prob.w)[:, None]
-    zw = Z * sw
-    check_rank(zw, "instrument matrix")
+    check_rank(Z, "instrument matrix", prob.w)
     if prob.q == prob.p:
         return Z
     # least squares on the sqrt(w)-scaled rows, through an orthogonal
     # decomposition rather than the normal equations
-    coef, _, _, _ = np.linalg.lstsq(zw, prob.X * sw, rcond=None)
+    sw = np.sqrt(prob.w)[:, None]
+    coef, _, _, _ = np.linalg.lstsq(Z * sw, prob.X * sw, rcond=None)
     return Z @ coef
 
 

@@ -70,10 +70,16 @@ def generate(spec: DgpSpec, tau: float = 0.5):
             raise ValueError("need at least one instrument")
         z = rng.standard_normal((n, k))
         e = rng.standard_normal(n)
-        eta = rng.standard_normal(n)
-        v = spec.rho * e + np.sqrt(1.0 - spec.rho**2) * eta
-        x = spec.pi * (z @ np.ones(k)) / np.sqrt(k) + e
-        y = 1.0 + x + v
+        v = rng.standard_normal(n)  # eta, scaled in place
+        v *= np.sqrt(1.0 - spec.rho**2)
+        v += spec.rho * e
+        x = z @ np.ones(k)
+        x *= spec.pi
+        x /= np.sqrt(k)
+        x += e
+        y = np.add(x, 1.0, out=e)  # e is spent: y takes its buffer
+        y += v
+        del e, v
 
         def true_beta_at(t):
             return np.array([1.0, 1.0 + ndtri(t)])
@@ -86,8 +92,16 @@ def generate(spec: DgpSpec, tau: float = 0.5):
         u = rng.uniform(size=n)
         z = rng.standard_normal(n)
         e = rng.standard_normal(n)
-        x = np.exp(spec.pi * z + 0.5 * e) * (0.5 + u)
-        y = ndtri_array(u) + (1.0 + u) * x
+        x = spec.pi * z
+        e *= 0.5
+        x += e
+        np.exp(x, out=x)
+        x *= np.add(u, 0.5, out=e)
+        slope = np.add(u, 1.0, out=e)
+        slope *= x
+        y = ndtri_array(u, out=u)  # u is spent: y takes its buffer
+        y += slope
+        del e, slope
 
         def true_beta_at(t):
             return np.array([1.0 + t, ndtri(t)])

@@ -776,6 +776,23 @@ def test_negative_bandwidth(demo_csv, capsys):
     assert err == "error: bandwidth must be a finite nonnegative number, got -1.0\n"
 
 
+def test_collinear_weighted_instruments_exit_numeric(tmp_path, capsys):
+    # the Gram matrix of dist and 2 dist is singular, so the rank guard falls
+    # back to the SVD and the pivoted QR, which name the dependent column
+    cols = demo_columns(n=150, seed=9)
+    cols["dist2"] = 2.0 * cols["dist"]
+    path = write_csv(tmp_path / "collinear.csv", cols)
+    code, out, err = run_cli(
+        ["--data", path, "--y", "wage", "--endog", "educ", "--exog", "age",
+         "--iv", "dist,dist2", "--weight", "wgt", "--quantile", "0.5"],
+        capsys,
+    )
+    assert code == EXIT_NUMERIC
+    assert out == ""
+    assert re.fullmatch(r"error: instrument matrix is rank deficient \(rank 3 of 4\); "
+                        r"column [12] is linearly dependent on the others\n", err), err
+
+
 # ----------------------------------------------------- escalation warning
 
 

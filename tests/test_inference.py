@@ -716,6 +716,22 @@ def test_bootstrap_matches_oracle_when_a_warm_solve_falls_back(monkeypatch):
         assert est.reps_used == 20
 
 
+def test_fit_holds_three_vectors_beyond_the_problem():
+    # the rank guard reads the weighted Gram matrix, not a scaled copy of the
+    # instruments, and the sandwich squares and weights psi in the residual
+    # buffer: past the problem's own arrays, a plug-in fit with analytic
+    # errors peaks at one n-vector beside the (n, p) scaled instruments
+    fit(generate(reference_dgp(n=2000, seed=36), tau=0.25)[0])  # first-call allocations
+    prob, _ = generate(reference_dgp(n=200_000, seed=36), tau=0.25)
+    tracemalloc.start()
+    try:
+        fit(prob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * 8 * prob.n, peak / (8 * prob.n)
+
+
 def test_bootstrap_memory_does_not_grow_with_reps(monkeypatch):
     # each thread's draws and warm solves reuse one weight buffer and one
     # workspace, so the traced peak is the same at 5 and 40 replications,

@@ -6,6 +6,8 @@ import pytest
 from ivqr.exceptions import RankDeficientError, SingularMatrixError
 from ivqr.model import EstimationProblem, build_problem
 from ivqr.projection import (
+    GRAM_RTOL,
+    RANK_RTOL,
     check_rank,
     iv_estimate,
     project_instruments,
@@ -49,6 +51,53 @@ def test_check_rank_names_dependent_column():
         else:
             check_rank(Q * s, "test matrix")
             np.testing.assert_allclose(M @ solve_nonsingular(M, b, "test message"), b, atol=1e-6)
+
+
+def test_gram_filter_decides_as_the_svd(monkeypatch):
+    # sqrt(w) A = Q diag(s) R' with singular values from 1 down to `ratio`:
+    # check_rank decides as the SVD of sqrt(w) A does at every ratio, zero
+    # weights included, and runs that SVD only where the weighted Gram matrix
+    # is not clearly nonsingular (ratio^2 near GRAM_RTOL or below)
+    import ivqr.projection as projection
+
+    svd = np.linalg.svd
+    calls = []
+
+    def spy(a, *args, **kwargs):
+        calls.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(projection.np.linalg, "svd", spy)
+    rng = np.random.default_rng(13)
+    n = 400
+    edges = [RANK_RTOL, np.sqrt(GRAM_RTOL)]
+    ratios = np.concatenate([np.logspace(-12, -2, 21), np.outer(edges, [0.5, 2.0]).ravel()])
+    decisions = set()
+    for p in (1, 2, 4):
+        for ratio in ratios:
+            w = rng.uniform(0.2, 3.0, size=n)
+            w[rng.choice(n, 20, replace=False)] = 0.0
+            live = w > 0
+            Q, _ = np.linalg.qr(rng.normal(size=(int(live.sum()), p)))
+            R, _ = np.linalg.qr(rng.normal(size=(p, p)))
+            s = np.geomspace(1.0, ratio, p) if p > 1 else np.array([ratio])
+            A = rng.normal(size=(n, p))  # rows of zero weight are free
+            A[live] = (Q * s) @ R.T / np.sqrt(w[live])[:, None]
+            svals = svd(A * np.sqrt(w)[:, None], compute_uv=False)
+            full = bool(svals[-1] > RANK_RTOL * svals[0])
+            calls.clear()
+            try:
+                check_rank(A, "test matrix", w)
+                accepted = True
+            except RankDeficientError:
+                accepted = False
+            assert accepted == full, (p, ratio)
+            decisions.add(full)
+            if p > 1 and ratio**2 < GRAM_RTOL / 3:
+                assert calls == [(n, p)], (p, ratio)
+            if p == 1 or ratio**2 > 3 * GRAM_RTOL:
+                assert calls == [], (p, ratio)
+    assert decisions == {True, False}
 
 
 # -------------------------------------------------------------- projection
@@ -106,9 +155,9 @@ def test_overidentified_projection_checks_weighted_instruments_once(monkeypatch)
     prob = make_problem(n=300, extra_instruments=2, weights=w)
     labels = []
 
-    def counting_check_rank(A, label):
+    def counting_check_rank(A, label, w=None):
         labels.append(label)
-        return check_rank(A, label)
+        return check_rank(A, label, w)
 
     monkeypatch.setattr(projection, "check_rank", counting_check_rank)
     zhat = project_instruments(prob)

@@ -90,6 +90,21 @@ def test_generate_memory_is_a_few_vectors(kind):
     assert peak < 20 * 8 * n, peak / (8 * n)
 
 
+@pytest.mark.parametrize("kind", [LOCATION_SHIFT, RANDOM_COEFFICIENT])
+def test_generate_holds_no_spent_draw(kind):
+    # v, x and y overwrite the draws they are made from, so the draw peaks
+    # in build_problem at z, x, y and the problem's arrays
+    generate(DgpSpec(kind=kind, n=100, seed=1))  # first import and call of scipy's Phi^{-1}
+    n = 200_000
+    tracemalloc.start()
+    try:
+        generate(DgpSpec(kind=kind, n=n, seed=17), tau=0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 11.5 * 8 * n, peak / (8 * n)
+
+
 def test_whole_float_and_numpy_sizes_draw_the_same_data():
     base, _ = generate(DgpSpec(n=300, seed=4, n_instruments=2), tau=0.5)
     for n, k in ((300.0, 2.0), (np.int64(300), np.int32(2))):
