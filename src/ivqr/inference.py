@@ -12,7 +12,7 @@ import numpy as np
 
 from ivqr.exceptions import ConvergenceError, SingularMatrixError
 from ivqr.model import EstimationProblem, check_bootstrap_args, positive_number
-from ivqr.projection import solve_nonsingular
+from ivqr.projection import scale_rows, solve_nonsingular
 from ivqr.solver import _QUIET, _Workspace, residuals, see_jacobian, solve_see
 
 # Bootstraps on at least this many rows run their replications on several
@@ -71,7 +71,7 @@ def analytic_covariance(
     psi += 0.5 - prob.tau
     s = np.multiply(psi, psi, out=psi)
     s *= prob.w / w_mean
-    S = (zhat * s[:, None]).T @ zhat / prob.n
+    S = scale_rows(zhat, s).T @ zhat / prob.n
     J_inv = solve_nonsingular(J, np.eye(prob.p), "Jacobian of the smoothed equations is "
                               "singular; too few observations sit inside the smoothing window")
     cov = J_inv @ S @ J_inv.T / prob.n

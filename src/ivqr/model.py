@@ -199,6 +199,17 @@ def _check_columns(mat, label):
                 raise ValueError(f"columns {j} and {m} of {label} are identical")
 
 
+def _side_by_side(blocks, add_constant):
+    """The blocks' columns side by side in one new C-ordered array, then an
+    intercept column when ``add_constant``: the values ``np.hstack`` gives
+    with a ones column, written once, with no ones column allocated."""
+    k = sum(b.shape[1] for b in blocks)
+    out = np.empty((blocks[0].shape[0], k + bool(add_constant)))
+    np.concatenate(blocks, axis=1, out=out[:, :k])
+    out[:, k:] = 1.0
+    return out
+
+
 def whole_number(name: str, value) -> int:
     """``value`` as an int; ValueError naming ``name`` unless it is whole."""
     try:
@@ -275,7 +286,8 @@ def build_problem(
     Rows with any missing value (NaN) in the referenced columns are dropped
     listwise.  Regressors are ordered endogenous first, then exogenous, with
     the intercept appended last; instruments are ordered exogenous
-    regressors, then excluded instruments, then the intercept.
+    regressors, then excluded instruments, then the intercept.  X and Z
+    are C-ordered whatever the memory layout of the blocks.
 
     Parameters
     ----------
@@ -322,14 +334,8 @@ def build_problem(
     if y.shape[0] == 0:
         raise ValueError("no observations remain after dropping rows with missing values")
 
-    blocks_x = [endog, exog]
-    blocks_z = [exog, instr]
-    if add_constant:
-        const = np.ones((y.shape[0], 1))
-        blocks_x.append(const)
-        blocks_z.append(const)
-    X = np.hstack(blocks_x)
-    Z = np.hstack(blocks_z)
+    X = _side_by_side((endog, exog), add_constant)
+    Z = _side_by_side((exog, instr), add_constant)
     if X.shape[1] < 1:
         raise ValueError("no regressors: supply at least one column or keep the constant")
     _check_columns(X, "X")

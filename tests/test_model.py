@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from oracles import unsmoothed_moments
 from scipy.special import ndtri as scipy_ndtri
 
@@ -178,8 +178,9 @@ def test_read_only_caller_arrays_are_copied():
 
 def test_build_problem_keeps_the_arrays_it_allocates():
     # the default weights, X and Z are made by build_problem and kept
-    # uncopied: the peak holds the outcome copy, the four kept columns and
-    # the intercept column both X and Z are stacked from, and nothing more
+    # uncopied, and the intercept is written straight into X and Z: the peak
+    # holds the outcome copy, the four kept columns and the boolean masks of
+    # the missing-value scan (an eighth of a column each), and nothing more
     n = 200_000
     y = np.random.default_rng(3).normal(size=n)
     column = 8 * n
@@ -190,9 +191,42 @@ def test_build_problem_keeps_the_arrays_it_allocates():
     finally:
         tracemalloc.stop()
     assert kept >= 4 * column
-    assert peak - kept < 1.5 * column
+    assert peak - kept < 0.5 * column
     assert all(not a.flags.writeable for a in (prob.y, prob.X, prob.Z, prob.w))
     assert not np.shares_memory(prob.y, y)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 3), st.integers(0, 3), st.integers(0, 3), st.booleans(),
+    st.sampled_from("CF"), st.lists(st.integers(0, 29), max_size=6), st.integers(0, 2**32 - 1),
+)
+def test_build_problem_assembles_what_hstack_gives(k_exog, k_endog, k_instr, add_constant,
+                                                    order, nan_rows, seed):
+    # X is endogenous, exogenous, intercept; Z is exogenous, instruments,
+    # intercept, over the rows without a NaN.  np.hstack of F-ordered blocks
+    # can be F-ordered; build_problem's X and Z are C-ordered whatever it is given
+    assume(k_endog + k_exog + add_constant >= 1 and k_instr >= k_endog)
+    n = 30
+    rng = np.random.default_rng(seed)
+    y = rng.normal(size=n)
+    blocks = [np.array(rng.normal(size=(n, k)), order=order) for k in (k_exog, k_endog, k_instr)]
+    columns = [y] + [b[:, j] for b in blocks for j in range(b.shape[1])]  # views
+    for i in nan_rows:
+        columns[rng.integers(len(columns))][i] = np.nan
+    keep = ~np.isnan(np.column_stack([y] + blocks)).any(axis=1)
+    assume(keep.sum() >= k_endog + k_exog + add_constant)
+    prob = build_problem(y, *(b if b.shape[1] else None for b in blocks),
+                         quantile=0.5, add_constant=add_constant)
+    exog, endog, instr = (b[keep] for b in blocks)
+    ones = [np.ones((keep.sum(), 1))] if add_constant else []
+    X = np.hstack([endog, exog] + ones)
+    Z = np.hstack([exog, instr] + ones)
+    np.testing.assert_array_equal(prob.y, y[keep])
+    for got, want in ((prob.X, X), (prob.Z, Z)):
+        assert np.array_equal(got, want)
+        assert got.flags.c_contiguous
+    assert prob.endog_idx == tuple(range(k_endog))
 
 
 def test_writeable_arrays_are_copied():

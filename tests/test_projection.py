@@ -1,8 +1,12 @@
 """Tests for instrument projection and the linear IV starting value."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import ivqr.inference as inference_mod
+import ivqr.projection as projection_mod
 from ivqr.exceptions import RankDeficientError, SingularMatrixError
 from ivqr.model import EstimationProblem, build_problem
 from ivqr.projection import (
@@ -11,6 +15,7 @@ from ivqr.projection import (
     check_rank,
     iv_estimate,
     project_instruments,
+    scale_rows,
     solve_nonsingular,
 )
 
@@ -168,6 +173,32 @@ def test_overidentified_projection_checks_weighted_instruments_once(monkeypatch)
     np.testing.assert_array_equal(zhat, prob.Z @ coef)
 
 
+def test_overidentified_projection_releases_sqrt_w_before_lstsq(monkeypatch):
+    # LAPACK copies the scaled operands where tracemalloc cannot see them;
+    # meanwhile the projection holds those operands and no sqrt(w) beside them
+    n = 200_000
+    rng = np.random.default_rng(41)
+    z = rng.normal(size=(n, 2))
+    d = z.sum(axis=1) + rng.normal(size=n)
+    prob = build_problem(d + rng.normal(size=n), raw_endog=d, raw_instr=z,
+                         weights=rng.uniform(0.5, 2.0, size=n), quantile=0.5)
+    assert (prob.q, prob.p) == (3, 2)
+    real, held = np.linalg.lstsq, []
+
+    def lstsq(a, b, rcond=None):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return real(a, b, rcond=rcond)
+
+    monkeypatch.setattr(np.linalg, "lstsq", lstsq)
+    tracemalloc.start()
+    try:
+        project_instruments(prob)
+    finally:
+        tracemalloc.stop()
+    assert len(held) == 1
+    assert held[0] < (prob.q + prob.p + 0.5) * 8 * n, held[0] / (8 * n)
+
+
 def test_projection_detects_collinear_instruments():
     rng = np.random.default_rng(8)
     n = 60
@@ -273,3 +304,41 @@ def test_weight_doubling_matches_row_duplication():
     b_w = iv_estimate(prob_w, project_instruments(prob_w))
     b_dup = iv_estimate(prob_dup, project_instruments(prob_dup))
     np.testing.assert_allclose(b_w, b_dup, rtol=1e-10)
+
+
+# ------------------------------------------------------ weighted products
+
+
+def same_bits_and_layout(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    flags = ("C_CONTIGUOUS", "F_CONTIGUOUS", "OWNDATA", "WRITEABLE", "ALIGNED")
+    assert [got.flags[f] for f in flags] == [want.flags[f] for f in flags]
+
+
+@pytest.mark.parametrize("order", "CF")
+def test_weighted_instrument_products_equal_the_broadcast(order, monkeypatch):
+    # iv_estimate's w zhat and analytic_covariance's s zhat are filled one
+    # column at a time; each must be A * w[:, None] to the bit and in the
+    # same layout, so the matrix products after them see the same operands
+    n = 400
+    w = np.random.default_rng(43).uniform(0.2, 3.0, size=n)
+    w[::9] = 0.0
+    prob = make_problem(n=n, seed=43, extra_instruments=0, weights=w)
+    zhat = np.array(-prob.Z, order=order)  # negated, so zero weights make -0.0
+    assert zhat.flags.c_contiguous == (order == "C")
+    calls = []
+
+    def spy(A, v):
+        out = scale_rows(A, v)
+        calls.append((A, v.copy(), out))
+        return out
+
+    monkeypatch.setattr(projection_mod, "scale_rows", spy)
+    monkeypatch.setattr(inference_mod, "scale_rows", spy)
+    beta = iv_estimate(prob, zhat)
+    inference_mod.analytic_covariance(prob, zhat, beta, 1.0, 1.0)
+    assert len(calls) == 2
+    for A, v, out in calls:
+        assert A is zhat
+        same_bits_and_layout(out, A * v[:, None])

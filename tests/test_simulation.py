@@ -79,7 +79,9 @@ def test_random_coefficient_truth_and_restriction():
 @pytest.mark.parametrize("kind", [LOCATION_SHIFT, RANDOM_COEFFICIENT])
 def test_generate_memory_is_a_few_vectors(kind):
     # a draw holds a few n-vectors and the problem's copies of them, no
-    # n-row array per point of a grid of ranks
+    # n-row array per point of a grid of ranks; the warm-up draw keeps a
+    # first import of scipy's Phi^{-1} out of the traced peak
+    generate(DgpSpec(kind=kind, n=100, seed=1))
     n = 200_000
     tracemalloc.start()
     try:
@@ -102,7 +104,7 @@ def test_generate_holds_no_spent_draw(kind):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 11.5 * 8 * n, peak / (8 * n)
+    assert peak < 10 * 8 * n, peak / (8 * n)
 
 
 def test_whole_float_and_numpy_sizes_draw_the_same_data():
