@@ -45,7 +45,7 @@ import numpy as np
 
 from ivqr.exceptions import ConvergenceError, SingularMatrixError
 from ivqr.model import EstimationProblem, nonnegative_number
-from ivqr.projection import iv_estimate
+from ivqr.projection import iv_estimate, scale_rows
 
 MAX_NEWTON_ITER = 200
 MAX_BACKTRACK = 30
@@ -180,14 +180,17 @@ def see_jacobian(prob: EstimationProblem, zhat: np.ndarray, beta, h, v=None, *, 
     """
     if _ws is not None and _ws.holds_window(v, h):
         rows, zhat_in, x_in = _ws.window
-        zw_in = zhat_in * prob.w.take(rows)[:, None]
+        zw_in = scale_rows(zhat_in, prob.w.take(rows))
     else:
         if _ws is not None:
             rows = np.flatnonzero(_ws.mask)
         else:
             rows = np.flatnonzero(np.abs(residuals(prob, beta) if v is None else v) < h)
         zw_in = zhat.take(rows, axis=0)
-        zw_in *= prob.w.take(rows)[:, None]
+        w_in = prob.w.take(rows)
+        # one column at a time, in place, as scale_rows does
+        for j in range(zw_in.shape[1]):
+            zw_in[:, j] *= w_in
         x_in = prob.X.take(rows, axis=0)
     return zw_in.T @ x_in / (2.0 * prob.n * h)
 

@@ -81,18 +81,18 @@ SMALL_STRIDE = 4
 
 
 def bracketed_quartiles(x, min_rows=SMALL_MIN_ROWS, stride=SMALL_STRIDE):
-    """quartiles(x) under the given constants, and whether np.quantile saw all of x."""
+    """quartiles(x) under the given constants, and whether a partition saw all of x."""
     sizes = []
-    real = np.quantile
+    real = bandwidth_mod._order_statistics
 
-    def spy(a, q):
-        sizes.append(np.size(a))
-        return real(a, q)
+    def spy(a, ranks):
+        sizes.append(a.size)
+        return real(a, ranks)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(bandwidth_mod, "QUARTILE_BRACKET_MIN_ROWS", min_rows)
         mp.setattr(bandwidth_mod, "QUARTILE_STRIDE", stride)
-        mp.setattr(np, "quantile", spy)
+        mp.setattr(bandwidth_mod, "_order_statistics", spy)
         got = quartiles(x)
     return got, x.size in sizes
 
@@ -103,6 +103,44 @@ def assert_exact_quartiles(x):
     assert (got == np.quantile(x, [0.25, 0.75])).all()
     assert x.tobytes() == before.tobytes()
     return full
+
+
+def small_sample(kind, n, rng):
+    if kind == "normal":
+        return rng.standard_normal(n)
+    if kind == "t3":
+        return 1e3 * rng.standard_t(3, size=n)
+    if kind == "ties":
+        return rng.integers(0, 3, size=n).astype(float)
+    if kind == "signed_zeros":
+        return rng.choice([-0.0, 0.0, -1.0, 1.0], size=n)
+    return rng.choice([-np.inf, -1.0, 0.5, np.inf], size=n)  # infinities
+
+
+# p (n - 1) takes the fractional parts 0, 1/4, 1/2 and 3/4 as n runs over
+# 1..80, so both branches of the interpolation run at every weight
+@pytest.mark.parametrize("kind", ["normal", "t3", "ties", "signed_zeros", "infinities"])
+def test_quartiles_equal_np_quantile_at_every_small_n(kind):
+    rng = np.random.default_rng(31)
+    for n in range(1, 81):
+        for _ in range(5):
+            x = small_sample(kind, n, rng)
+            x.flags.writeable = False  # a write raises
+            before = x.tobytes()
+            with np.errstate(invalid="ignore"):  # numpy's inf - inf
+                want = np.quantile(x, [0.25, 0.75])
+            np.testing.assert_array_equal(quartiles(x), want)
+            assert x.tobytes() == before
+
+
+def test_quartiles_of_small_samples_with_a_nan_are_nan():
+    rng = np.random.default_rng(32)
+    for n in range(1, 81):
+        x = rng.standard_normal(n)
+        x[rng.integers(n)] = np.nan
+        x.flags.writeable = False
+        assert np.isnan(quartiles(x)).all()
+        assert np.isnan(np.quantile(x, [0.25, 0.75])).all()
 
 
 sizes_around_threshold = st.integers(2, 6 * SMALL_MIN_ROWS)
@@ -150,7 +188,7 @@ def test_quartiles_bracket_at_the_shipped_constants(with_nan):
         x, bandwidth_mod.QUARTILE_BRACKET_MIN_ROWS, bandwidth_mod.QUARTILE_STRIDE
     )
     np.testing.assert_array_equal(got, np.quantile(x, [0.25, 0.75]))
-    assert full == with_nan  # a NaN inside a bracket sends all rows to np.quantile
+    assert full == with_nan  # a NaN inside a bracket sends all rows to one partition
     assert x.tobytes() == before.tobytes()
 
 

@@ -22,15 +22,20 @@ def test_readme_names_every_export():
     assert [name for name in ivqr.__all__ if f"`{name}`" not in readme] == []
 
 
-# imports the package, runs a plug-in, a bootstrap and a fixed-bandwidth fit
-# and a CLI run on full-rank data, then lists every scipy module loaded
+# imports the package, runs a plug-in, a bootstrap and a fixed-bandwidth fit,
+# a plug-in fit large enough for the bracketed quartiles and a CLI run on
+# full-rank data, then lists every scipy and numpy.ma module loaded
 NO_SCIPY_SCRIPT = """
 import sys
 import numpy as np
 import ivqr, ivqr.cli, ivqr.simulation
+from ivqr.bandwidth import QUARTILE_BRACKET_MIN_ROWS
 prob, _ = ivqr.simulation.generate(ivqr.simulation.reference_dgp(300, 4), 0.3)
 for kwargs in ({}, {"reps": 20}, {"bandwidth": 0.3}):
     ivqr.fit(prob, **kwargs).ci
+prob, _ = ivqr.simulation.generate(
+    ivqr.simulation.reference_dgp(QUARTILE_BRACKET_MIN_ROWS, 4), 0.3)
+ivqr.fit(prob).ci
 rng = np.random.default_rng(5)
 z, e = rng.normal(size=(2, 300))
 d = z + e
@@ -38,14 +43,16 @@ np.savetxt(sys.argv[1], np.column_stack([1 + d + e + rng.normal(size=300), d, z]
            delimiter=",", header="y,d,z", comments="")
 code = ivqr.cli.main(["--data", sys.argv[1], "--y", "y", "--endog", "d", "--iv", "z",
                       "--quantile", "0.3", "--json", sys.argv[2]])
-print(code, sorted(m for m in sys.modules if m.startswith("scipy")))
+print(code, sorted(m for m in sys.modules if m.startswith("scipy")),
+      sorted(m for m in sys.modules if m == "numpy.ma" or m.startswith("numpy.ma.")))
 """
 
 
-def test_import_and_full_rank_fits_load_no_scipy(tmp_path):
+def test_import_and_full_rank_fits_load_no_scipy_or_numpy_ma(tmp_path):
     # scipy is imported only for a rank-deficient matrix's pivoted QR and
     # the random-coefficient design's vector Phi^{-1}; loading it costs more
-    # than importing the package
+    # than importing the package.  np.quantile's first call imports numpy.ma,
+    # which bandwidth.quartiles never calls
     src = str(Path(ivqr.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     out = subprocess.run(
@@ -56,7 +63,7 @@ def test_import_and_full_rank_fits_load_no_scipy(tmp_path):
         text=True,
         check=True,
     )
-    assert out.stdout.splitlines()[-1] == "0 []"
+    assert out.stdout.splitlines()[-1] == "0 [] []"
     assert (tmp_path / "out.json").stat().st_size > 0
 
 
