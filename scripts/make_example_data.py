@@ -18,6 +18,10 @@ import sys
 
 import numpy as np
 
+# rows written per batch: the columns are converted to Python lists this
+# many rows at a time, so the lists never hold more than this many rows
+CHUNK_ROWS = 8192
+
 
 def make_columns(n: int, seed: int) -> dict:
     rng = np.random.default_rng(seed)
@@ -42,7 +46,9 @@ def main(argv=None) -> int:
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(names)
-        writer.writerows(zip(*(col.tolist() for col in cols.values())))
+        for start in range(0, args.n, CHUNK_ROWS):
+            writer.writerows(zip(*(col[start:start + CHUNK_ROWS].tolist()
+                                   for col in cols.values())))
     print(f"wrote {args.out} ({args.n} rows: {', '.join(names)})")
     print("try: python3 -m ivqr.cli --data", args.out,
           "--y wage --endog educ --exog age --iv dist --quantile 0.5")

@@ -25,6 +25,7 @@ from ivqr.projection import project_instruments
 from ivqr.simulation import (
     DgpSpec,
     MonteCarloRow,
+    fit_levels,
     generate,
     monte_carlo,
     reference_dgp,
@@ -53,6 +54,7 @@ __all__ = [
     "build_problem",
     "convert_quantile",
     "fit",
+    "fit_levels",
     "generate",
     "monte_carlo",
     "plug_in_bandwidth",

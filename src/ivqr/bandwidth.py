@@ -19,7 +19,7 @@ import numpy as np
 
 from ivqr.exceptions import ConvergenceError
 from ivqr.model import EstimationProblem, ndtri
-from ivqr.projection import iv_estimate
+from ivqr.projection import _TauFree, iv_estimate
 from ivqr.solver import SeeSolution, residuals, solve_see
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
@@ -251,18 +251,19 @@ def kde_fprime0(resid, b: float) -> float:
     return float(np.sum(k) / (n * b * b))
 
 
-def plug_in_bandwidth(prob: EstimationProblem, resid) -> BandwidthReport:
+def plug_in_bandwidth(prob: EstimationProblem, resid, *, _sigma=None) -> BandwidthReport:
     """Compute the three candidate bandwidths from the given residuals.
 
     Returns a report with ``h_requested`` set to the smallest finite
     candidate and ``h_max`` to the largest; ``h_used`` is NaN until a solve
     fills it in.  Taking the minimum biases mistakes toward undersmoothing,
-    which is the safe direction for the estimating equations.
+    which is the safe direction for the estimating equations.  ``_sigma``,
+    when given, is ``robust_sigma(resid)``, computed earlier by the caller.
     """
     resid = np.asarray(resid, dtype=float).ravel()
     n = prob.n
     d = prob.p
-    sigma = robust_sigma(resid)
+    sigma = robust_sigma(resid) if _sigma is None else _sigma
     q = ndtri(prob.tau)
 
     s = s_star(n, sigma, prob.tau)
@@ -305,6 +306,7 @@ def fit_with_plugin(
     prob: EstimationProblem,
     zhat: np.ndarray,
     beta_init=None,
+    _shared=None,
 ) -> tuple[SeeSolution, BandwidthReport]:
     """Estimate with the plug-in bandwidth and one refinement pass.
 
@@ -317,8 +319,17 @@ def fit_with_plugin(
     solve's diagnostics cover both solves: the first solve's iterations,
     homotopy stages and escalations are added to its own, and to those of a
     ``ConvergenceError`` the second solve raises.
+
+    ``_shared`` is the fit's :class:`~ivqr.projection._TauFree` record: the
+    IV start and the scale of its residuals are taken from it when a fit
+    on the same data has filled it, and stored there otherwise.  The
+    residuals themselves are formed again on each call.
     """
-    rep1 = plug_in_bandwidth(prob, residuals(prob, iv_estimate(prob, zhat)))
+    shared = _TauFree() if _shared is None else _shared
+    if shared.iv_start is None:
+        shared.iv_start = iv_estimate(prob, zhat)
+    rep1 = plug_in_bandwidth(prob, residuals(prob, shared.iv_start), _sigma=shared.iv_sigma)
+    shared.iv_sigma = rep1.sigma_hat
     sol1 = solve_see(prob, zhat, rep1.h_requested, beta_init=beta_init)
     rep2 = plug_in_bandwidth(prob, residuals(prob, sol1.beta))
     try:

@@ -7,7 +7,7 @@ import numpy as np
 from ivqr.bandwidth import BandwidthReport, fit_with_plugin, plug_in_bandwidth
 from ivqr.inference import analytic_covariance, bayesian_bootstrap
 from ivqr.model import EstimationProblem, FitResult, check_bootstrap_args, nonnegative_number
-from ivqr.projection import project_instruments
+from ivqr.projection import _TauFree, project_instruments
 from ivqr.solver import residuals, solve_see
 
 DEFAULT_SEED = 112358
@@ -21,6 +21,7 @@ def fit(
     seed: int = DEFAULT_SEED,
     beta_init=None,
     progress=None,
+    _shared=None,
 ) -> FitResult:
     """Project instruments, solve the smoothed equations, and attach a VCE.
 
@@ -42,15 +43,22 @@ def fit(
     to leading order (J the Jacobian of the population equations, f(.|z) the
     conditional density of the structural error); the plug-in bandwidth
     accepts that O(h^2) bias in exchange for a lower mean squared error.
+
+    ``_shared`` is private to :func:`~ivqr.simulation.fit_levels`: a
+    :class:`~ivqr.projection._TauFree` record that the fits of one
+    dataset's levels fill and read, so its tau-free work runs once.
     """
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must lie strictly between 0 and 1, got {level}")
     bandwidth = None if bandwidth is None else nonnegative_number("bandwidth", bandwidth)
     if reps != 0:
         reps, seed = check_bootstrap_args(reps, seed)
-    zhat = project_instruments(prob)
+    shared = _TauFree() if _shared is None else _shared
+    if shared.zhat is None:
+        shared.zhat = project_instruments(prob)
+    zhat = shared.zhat
     if bandwidth is None:
-        sol, report = fit_with_plugin(prob, zhat, beta_init=beta_init)
+        sol, report = fit_with_plugin(prob, zhat, beta_init=beta_init, _shared=shared)
     else:
         sol = solve_see(prob, zhat, bandwidth, beta_init=beta_init)
         report = BandwidthReport(h_requested=bandwidth, h_used=sol.h_used)

@@ -81,6 +81,13 @@ def _as_2d(a, name, n_rows=None):
     return a
 
 
+def _quantile_level(tau) -> float:
+    """``tau`` as a float; ValueError unless it lies strictly between 0 and 1."""
+    if not 0.0 < tau < 1.0:
+        raise ValueError(f"tau must lie strictly between 0 and 1, got {tau}")
+    return float(tau)
+
+
 def _readonly(a, owned=False):
     """A read-only float copy of ``a``; ``a`` itself when ``owned`` says
     that nothing else holds it."""
@@ -138,8 +145,7 @@ class EstimationProblem:
             raise ValueError("weights must be nonnegative")
         if w.sum() <= 0:
             raise ValueError("weights sum to zero")
-        if not 0.0 < self.tau < 1.0:
-            raise ValueError(f"tau must lie strictly between 0 and 1, got {self.tau}")
+        tau = _quantile_level(self.tau)
         endog = tuple(int(j) for j in self.endog_idx)
         if any(j < 0 or j >= p for j in endog):
             raise ValueError(f"endog_idx {endog} out of range for p={p}")
@@ -153,8 +159,21 @@ class EstimationProblem:
                 )
         for name, arr in (("y", y), ("X", X), ("Z", Z), ("w", w)):
             object.__setattr__(self, name, _readonly(arr, _owned))
-        object.__setattr__(self, "tau", float(self.tau))
+        object.__setattr__(self, "tau", tau)
         object.__setattr__(self, "endog_idx", endog)
+
+    def at_quantile(self, tau) -> "EstimationProblem":
+        """This problem at quantile level ``tau``, built without re-validation.
+
+        The copy shares the validated, read-only ``y``, ``X``, ``Z`` and
+        ``w`` of this problem; only ``tau`` is checked, as the constructor
+        checks it.  :func:`~ivqr.simulation.fit_levels` fits each level of a
+        grid on one of these.
+        """
+        tau = _quantile_level(tau)
+        new = copy.copy(self)
+        object.__setattr__(new, "tau", tau)
+        return new
 
     def reweighted(self, w) -> "EstimationProblem":
         """This problem with observation weights ``w``, built without validation.

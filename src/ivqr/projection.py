@@ -3,6 +3,9 @@ and the one rank guard every linear solve in the package goes through."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Optional
+
 import numpy as np
 
 from ivqr.exceptions import RankDeficientError, SingularMatrixError
@@ -18,6 +21,20 @@ RANK_RTOL = 1e-10
 # sqrt(GRAM_RTOL) = 1e-4.  That is far above RANK_RTOL, so the SVD accepts it
 # too: on the Gram's scale its cut is RANK_RTOL^2 = 1e-20.
 GRAM_RTOL = 1e-8
+
+
+@dataclass
+class _TauFree:
+    """The work a fit does that does not depend on the quantile level, for
+    the levels of one dataset's grid to share (see
+    :func:`~ivqr.simulation.fit_levels`): the projected instruments, the
+    linear IV start and the robust scale of its residuals.  Each field is
+    None until a fit computes it; later fits on the same y, X, Z and w read
+    it.  One record serves one dataset's grid and lives no longer."""
+
+    zhat: Optional[np.ndarray] = None
+    iv_start: Optional[np.ndarray] = None
+    iv_sigma: Optional[float] = None
 
 
 def check_rank(A, label, w=None):

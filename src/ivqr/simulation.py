@@ -9,7 +9,9 @@ import numpy as np
 
 from ivqr.estimate import fit
 from ivqr.exceptions import EstimationError
-from ivqr.model import build_problem, ndtri, nonnegative_number, seed_number, whole_number
+from ivqr.model import (EstimationProblem, FitResult, build_problem, ndtri, nonnegative_number,
+                        seed_number, whole_number)
+from ivqr.projection import _TauFree
 
 LOCATION_SHIFT = "location-shift"
 RANDOM_COEFFICIENT = "random-coefficient"
@@ -110,6 +112,43 @@ def generate(spec: DgpSpec, tau: float = 0.5):
     return build_problem(y, raw_endog=x, raw_instr=z, quantile=tau), true_beta_at
 
 
+def fit_levels(
+    base: EstimationProblem,
+    taus: Sequence[float],
+    bandwidth: Optional[float] = None,
+    level: float = 0.95,
+) -> list[Optional[FitResult]]:
+    """Fit ``base`` at every level in ``taus`` with analytic standard errors:
+    one result per level, in the order of ``taus``, None where the fit
+    raised :class:`EstimationError`.
+
+    The level nearest 0.5 is solved cold (ties in the order of ``taus``);
+    every other level, in order of distance from 0.5, starts from the
+    estimate at the nearest level already attempted, or cold when that fit
+    failed.  ``bandwidth`` and ``level`` go to :func:`fit`.  Each level is
+    fitted on ``base.at_quantile(tau)``, and the levels share the work that
+    does not depend on tau: the first fit projects the instruments and, on
+    the plug-in path, computes the IV start and the robust scale of its
+    residuals.  The results equal, bit for bit, those of ``fit`` on
+    validated copies of ``base`` from the same starts.
+    """
+    order = sorted(range(len(taus)), key=lambda i: abs(taus[i] - 0.5))
+    shared = _TauFree()
+    solved = {}  # level -> its estimate, None if the fit failed
+    out = [None] * len(taus)
+    for i in order:
+        tau = taus[i]
+        near = min(solved, key=lambda t: abs(t - tau), default=None)
+        try:
+            out[i] = fit(base.at_quantile(tau), bandwidth=bandwidth, level=level, reps=0,
+                         beta_init=solved.get(near), _shared=shared)
+        except EstimationError:
+            solved[tau] = None
+            continue
+        solved[tau] = out[i].beta
+    return out
+
+
 @dataclass(frozen=True)
 class MonteCarloRow:
     """Aggregate results for one quantile level (arrays indexed by coefficient)."""
@@ -136,14 +175,11 @@ def monte_carlo(
 
     Replication r of the study draws one dataset with a substream keyed by
     (spec.seed, r) and estimates it at every quantile level in ``taus`` with
-    the full pipeline and analytic standard errors, recording the estimates
-    and their confidence intervals.  On each dataset the level nearest 0.5
-    is solved cold; every other level, taken in order of distance from 0.5,
-    starts the solver from the estimate at the nearest level already solved
-    on that dataset, or runs cold when that fit failed.  Starting values do
-    not change the bandwidth or the estimate beyond solver tolerance.
-    ``bandwidth`` and ``level`` are passed to :func:`fit` (``None`` selects
-    the plug-in bandwidth).  Failed fits are counted per level and excluded
+    :func:`fit_levels` (the full pipeline, analytic standard errors, warm
+    starts from the nearest level and the tau-free work done once per
+    dataset), recording the estimates and their confidence intervals.
+    ``bandwidth`` and ``level`` are passed to it (``None`` selects the
+    plug-in bandwidth).  Failed fits are counted per level and excluded
     from the summaries.  Rows come back in the order of ``taus``.  The seed,
     the sizes, every level in ``taus`` and ``level`` are checked before the
     first draw, and so is ``bandwidth``, as ``fit`` checks it.
@@ -157,25 +193,15 @@ def monte_carlo(
         if not 0.0 < value < 1.0:
             raise ValueError(f"{name} must lie strictly between 0 and 1, got {value}")
     bandwidth = None if bandwidth is None else nonnegative_number("bandwidth", bandwidth)
-    order = sorted(range(len(taus)), key=lambda i: abs(taus[i] - 0.5))
     fits = [[] for _ in taus]  # per level: (beta, se, covered) of each successful fit
     for r in range(n_reps):
         rep_spec = replace(spec, seed=np.random.default_rng([seed, r]).integers(2**63))
         base, true_beta_at = generate(rep_spec)
-        solved = {}  # level -> its estimate on this dataset, None if the fit failed
-        for i in order:
-            tau = taus[i]
-            near = min(solved, key=lambda t: abs(t - tau), default=None)
-            try:
-                res = fit(replace(base, tau=tau), bandwidth=bandwidth, level=level, reps=0,
-                          beta_init=solved.get(near))
-            except EstimationError:
-                solved[tau] = None
-                continue
-            solved[tau] = res.beta
-            truth = true_beta_at(tau)
-            lo, hi = res.ci.T
-            fits[i].append((res.beta, res.se, (lo <= truth) & (truth <= hi)))
+        for tau, res, done in zip(taus, fit_levels(base, taus, bandwidth, level), fits):
+            if res is not None:
+                truth = true_beta_at(tau)
+                lo, hi = res.ci.T
+                done.append((res.beta, res.se, (lo <= truth) & (truth <= hi)))
     rows = []
     for tau, done in zip(taus, fits):
         if not done:

@@ -39,6 +39,7 @@ from __future__ import annotations
 import contextvars
 import copy
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -232,13 +233,15 @@ def _damped_newton(prob, zhat, beta0, h, tol, zw, ws=None):
             return beta, it, False, gn
         if not np.isfinite(step).all():
             return beta, it, False, gn
-        g2 = float(np.linalg.norm(g))
+        # the Euclidean norms are np.linalg.norm's own arithmetic on a 1-D
+        # float vector, sqrt(g . g), without its wrapper
+        g2 = math.sqrt(g.dot(g))
         lam = 1.0
         for _ in range(MAX_BACKTRACK + 1):
             cand = beta + lam * step
             vc = residuals(prob, cand, ws.resid)
             gc = see_residual(prob, zhat, cand, h, v=vc, zw=zw, _ws=ws)
-            if np.isfinite(gc).all() and float(np.linalg.norm(gc)) < g2:
+            if np.isfinite(gc).all() and math.sqrt(gc.dot(gc)) < g2:
                 break
             lam *= 0.5
         else:

@@ -26,7 +26,7 @@ from ivqr.cli import EXIT_OK, main
 from ivqr.estimate import fit
 from ivqr.model import EstimationProblem, build_problem
 from ivqr.projection import iv_estimate, project_instruments
-from ivqr.simulation import generate, reference_dgp
+from ivqr.simulation import fit_levels, generate, reference_dgp
 from ivqr.solver import see_jacobian, see_residual, solve_see, tol_residual
 
 TAUS = (0.25, 0.5, 0.75)
@@ -49,14 +49,6 @@ def iv_instance(seed, n=500, overidentified=False, with_exog=False):
     return build_problem(y, raw_exog=x, raw_endog=d, raw_instr=z, quantile=0.5)
 
 
-def with_tau(prob, tau):
-    if tau == prob.tau:
-        return prob
-    return EstimationProblem(
-        y=prob.y, X=prob.X, Z=prob.Z, w=prob.w, tau=tau, endog_idx=prob.endog_idx
-    )
-
-
 # ---------------------------------------------------------------- battery
 
 
@@ -66,10 +58,10 @@ def mc_battery():
 
     Replication r of each size uses a dataset seed drawn from a master
     stream keyed by (777 or 778, n); the same datasets are reused across
-    quantile levels (common random numbers).  The median is fitted cold and
-    the other levels start the solver from its estimate on the same dataset,
-    as ``monte_carlo`` does.  Each fit records beta, the bandwidth it solved
-    at, its SEs and whether its interval covers the truth.
+    quantile levels (common random numbers).  Each dataset's levels are
+    fitted by ``fit_levels``, as in ``monte_carlo``: the median cold, the
+    other levels from its estimate.  Each fit records beta, the bandwidth it
+    solved at, its SEs and whether its interval covers the truth.
     """
 
     def run(n_obs, master_key, n_reps=500):
@@ -80,9 +72,8 @@ def mc_battery():
         for seed in seeds:
             spec = replace(reference_dgp(n=n_obs), seed=seed)
             base, true_at = generate(spec, tau=0.5)
-            for t in sorted(TAUS, key=lambda t: abs(t - 0.5)):
-                start = None if t == 0.5 else out[0.5]["beta"][-1]
-                res = fit(with_tau(base, t), bandwidth=None, level=0.95, reps=0, beta_init=start)
+            for t, res in zip(TAUS, fit_levels(base, TAUS)):
+                assert res is not None, f"the fit at tau={t} failed on dataset seed {seed}"
                 truth = true_at(t)
                 truths[t] = truth
                 out[t]["beta"].append(res.beta)
@@ -136,7 +127,7 @@ def test_c02_large_bandwidth_matches_linear_iv():
         for tau in TAUS:
             # 2 h_big keeps every residual inside the smoothing window even
             # after the quantile-dependent intercept shift of up to h / 2
-            sol = solve_see(with_tau(prob5, tau), zhat, 2.0 * h_big)
+            sol = solve_see(prob5.at_quantile(tau), zhat, 2.0 * h_big)
             rel = np.abs(sol.beta[:n_slope] - beta_iv[:n_slope]) / np.abs(
                 beta_iv[:n_slope]
             )
@@ -190,7 +181,7 @@ def test_c04_residual_bound_on_every_fit():
     for k in range(6):
         prob = iv_instance(seed=20_000 + k, overidentified=(k % 2 == 0))
         collect(prob, 0.8)
-        collect(with_tau(prob, 0.25), 2.0)
+        collect(prob.at_quantile(0.25), 2.0)
     rng = np.random.default_rng(7)
     w = rng.uniform(0.5, 2.0, size=500)
     prob_w = iv_instance(seed=20_100)
@@ -217,7 +208,7 @@ def test_c04_residual_bound_on_every_fit():
     for t in TAUS:
         spec = replace(reference_dgp(n=800), seed=99)
         base, _ = generate(spec, tau=0.5)
-        prob_t = with_tau(base, t)
+        prob_t = base.at_quantile(t)
         zhat = project_instruments(prob_t)
         sol, report = fit_with_plugin(prob_t, zhat)
         fits.append((prob_t, zhat, sol.beta, report.h_used))

@@ -5,6 +5,7 @@ also exercises the installed console script through a subprocess.
 """
 
 import csv
+import importlib.util
 import io
 import json
 import logging
@@ -831,3 +832,28 @@ def test_no_warning_on_clean_data(demo_csv, capsys):
     )
     assert code == EXIT_OK
     assert "warning" not in out
+
+
+def load_make_example_data():
+    script = Path(__file__).resolve().parents[1] / "scripts" / "make_example_data.py"
+    spec = importlib.util.spec_from_file_location("make_example_data", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("chunks, extra", [(0, 300), (2, 0), (2, 37)],
+                         ids=["below-one-chunk", "whole-chunks", "chunks-and-a-remainder"])
+def test_example_data_chunks_write_the_one_shot_bytes(tmp_path, capsys, chunks, extra):
+    script = load_make_example_data()
+    n = chunks * script.CHUNK_ROWS + extra
+    out = tmp_path / "chunked.csv"
+    assert script.main(["--n", str(n), "--seed", "4", "--out", str(out)]) == 0
+    cols = script.make_columns(n, 4)
+    want = tmp_path / "one-shot.csv"
+    with open(want, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(list(cols))
+        writer.writerows(zip(*(col.tolist() for col in cols.values())))
+    assert out.read_bytes() == want.read_bytes()
+    assert len(out.read_bytes().splitlines()) == n + 1

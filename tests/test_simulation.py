@@ -13,17 +13,22 @@ from oracles import brute_force_qr_oracle, unsmoothed_moments, winsorized_mean_o
 from scipy.optimize import brentq, linprog
 from scipy.stats import norm
 
+import ivqr.bandwidth as bandwidth_mod
+import ivqr.estimate as estimate_mod
 import ivqr.simulation as simulation_mod
 from ivqr.estimate import fit
-from ivqr.exceptions import EstimationError
+from ivqr.exceptions import ConvergenceError, EstimationError, RankDeficientError
+from ivqr.model import EstimationProblem
 from ivqr.simulation import (
     DgpSpec,
     LOCATION_SHIFT,
     RANDOM_COEFFICIENT,
+    fit_levels,
     generate,
     monte_carlo,
     reference_dgp,
 )
+from ivqr.solver import SolverDiagnostics
 
 
 def load_run_monte_carlo():
@@ -442,3 +447,185 @@ def test_monte_carlo_failed_median_fit_leaves_its_neighbours_cold(monkeypatch):
         # the median is solved cold first; its neighbours start from it
         # unless its fit failed
         assert warm == (tau != 0.5 and rep != 1), (rep, tau)
+
+
+# ---------------------------------------------------------- the tau grid
+
+
+def oracle_levels(base, taus, bandwidth=None, level=0.95):
+    """One dataset's grid fitted level by level on validated copies
+    (``dataclasses.replace``), each level starting from the nearest level
+    already attempted, cold after a failure: the loop ``monte_carlo`` ran
+    before ``fit_levels``, sharing nothing between levels."""
+    order = sorted(range(len(taus)), key=lambda i: abs(taus[i] - 0.5))
+    solved, out = {}, [None] * len(taus)
+    for i in order:
+        tau = taus[i]
+        near = min(solved, key=lambda t: abs(t - tau), default=None)
+        try:
+            out[i] = fit(replace(base, tau=tau), bandwidth=bandwidth, level=level,
+                         beta_init=solved.get(near))
+        except EstimationError:
+            solved[tau] = None
+            continue
+        solved[tau] = out[i].beta
+    return out
+
+
+def assert_same_fit(got, want):
+    """Bit for bit: beta, cov, the whole bandwidth report and the solver record."""
+    assert (got is None) == (want is None)
+    if want is None:
+        return
+    np.testing.assert_array_equal(got.beta, want.beta)
+    np.testing.assert_array_equal(got.cov, want.cov)
+    assert got.bandwidth == want.bandwidth
+    assert got.solver == want.solver
+    assert (got.n_obs, got.vcov_kind, got.level, got.reps_used) == (
+        want.n_obs, want.vcov_kind, want.level, want.reps_used)
+
+
+def grid_design(name):
+    if name == "reference":
+        return generate(reference_dgp(n=300, seed=41))[0]
+    if name == "weighted":
+        base = generate(reference_dgp(n=300, seed=42))[0]
+        w = np.random.default_rng(42).uniform(0.5, 2.0, size=base.n)
+        return EstimationProblem(y=base.y, X=base.X, Z=base.Z, w=w, tau=0.5,
+                                 endog_idx=base.endog_idx)
+    if name == "overidentified":
+        return generate(DgpSpec(n=300, seed=43, n_instruments=3))[0]
+    return generate(DgpSpec(kind=RANDOM_COEFFICIENT, n=300, seed=44))[0]
+
+
+@pytest.mark.parametrize("taus", [(0.75, 0.1, 0.5, 0.9, 0.25), (0.3, 0.5, 0.3), (0.6, 0.4)],
+                         ids=["unsorted", "repeated", "equidistant"])
+@pytest.mark.parametrize("bandwidth", [None, 0.3], ids=["plug-in", "manual"])
+@pytest.mark.parametrize("design",
+                         ["reference", "weighted", "overidentified", "random-coefficient"])
+def test_fit_levels_equals_the_level_by_level_loop(design, bandwidth, taus):
+    base = grid_design(design)
+    got = fit_levels(base, taus, bandwidth=bandwidth, level=0.9)
+    want = oracle_levels(base, taus, bandwidth=bandwidth, level=0.9)
+    assert len(got) == len(taus)
+    for g, w in zip(got, want):
+        assert w is not None
+        assert_same_fit(g, w)
+
+
+def test_fit_levels_failed_level_is_none_and_its_neighbours_start_cold(monkeypatch):
+    base = grid_design("reference")
+    taus = (0.1, 0.25, 0.5, 0.75)
+    real_solve = bandwidth_mod.solve_see
+
+    def failing_median(prob, zhat, h, beta_init=None):
+        if prob.tau == 0.5:
+            raise ConvergenceError("injected failure", diagnostics=SolverDiagnostics())
+        return real_solve(prob, zhat, h, beta_init=beta_init)
+
+    starts = []  # (tau, started warm) of every fit_levels fit
+
+    def spy_fit(prob, **kwargs):
+        starts.append((prob.tau, kwargs["beta_init"] is not None))
+        return fit(prob, **kwargs)
+
+    monkeypatch.setattr(bandwidth_mod, "solve_see", failing_median)
+    monkeypatch.setattr(simulation_mod, "fit", spy_fit)
+    got = fit_levels(base, taus)
+    assert [g is None for g in got] == [False, False, True, False]
+    # the median's neighbours find it nearest and start cold; 0.1 starts from 0.25
+    assert starts == [(0.5, False), (0.25, False), (0.75, False), (0.1, True)]
+    for g, w in zip(got, oracle_levels(base, taus)):
+        assert_same_fit(g, w)
+
+
+def test_fit_levels_rank_deficient_instruments_fail_every_level(monkeypatch):
+    base = grid_design("reference")
+    z = base.Z[:, 0]
+    Z = np.column_stack([z, 2.0 * z, base.Z[:, 1]])
+    prob = EstimationProblem(y=base.y, X=base.X, Z=Z, w=base.w, tau=0.5,
+                             endog_idx=base.endog_idx)
+    errors = []
+
+    def spy_fit(prob, **kwargs):
+        try:
+            return fit(prob, **kwargs)
+        except EstimationError as exc:
+            errors.append((type(exc), str(exc)))
+            raise
+
+    monkeypatch.setattr(simulation_mod, "fit", spy_fit)
+    assert fit_levels(prob, (0.25, 0.5, 0.75)) == [None, None, None]
+    assert len(errors) == 3
+    assert errors[0][0] is RankDeficientError
+    assert errors == [errors[0]] * 3
+
+
+def count_calls(monkeypatch, module, name, counts):
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+@pytest.mark.parametrize("bandwidth, want", [
+    (None, {"project_instruments": 1, "iv_estimate": 1, "robust_sigma": 1 + 3}),
+    # a manual bandwidth shares only the projection; each level's Jacobian
+    # bandwidth takes one plug-in pass at its own solution
+    (0.3, {"project_instruments": 1, "robust_sigma": 3}),
+], ids=["plug-in", "manual"])
+def test_fit_levels_does_the_tau_free_work_once(monkeypatch, bandwidth, want):
+    base = grid_design("overidentified")
+    counts = {}
+    count_calls(monkeypatch, estimate_mod, "project_instruments", counts)
+    count_calls(monkeypatch, bandwidth_mod, "iv_estimate", counts)
+    count_calls(monkeypatch, bandwidth_mod, "robust_sigma", counts)
+    fit_levels(base, (0.25, 0.5, 0.75), bandwidth=bandwidth)
+    assert counts == want
+
+
+def test_successive_fits_share_no_tau_free_work(monkeypatch):
+    base = grid_design("overidentified")
+    counts = {}
+    count_calls(monkeypatch, estimate_mod, "project_instruments", counts)
+    count_calls(monkeypatch, bandwidth_mod, "iv_estimate", counts)
+    first, second = fit(base), fit(base)
+    assert counts == {"project_instruments": 2, "iv_estimate": 2}
+    assert_same_fit(second, first)
+    fit_levels(base, (0.5,))
+    fit_levels(base, (0.5,))
+    assert counts == {"project_instruments": 4, "iv_estimate": 4}
+
+
+def test_at_quantile_is_a_read_only_view_of_the_base():
+    base = grid_design("weighted")
+    view = base.at_quantile(0.3)
+    assert view.tau == 0.3 and type(view.tau) is float
+    assert base.tau == 0.5
+    assert view.endog_idx == base.endog_idx
+    for name in ("y", "X", "Z", "w"):
+        arr = getattr(view, name)
+        assert np.shares_memory(arr, getattr(base, name)), name
+        assert not arr.flags.writeable, name
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    # reweighting a view keeps its tau and its y, X and Z
+    w = np.random.default_rng(3).uniform(0.5, 2.0, size=base.n)
+    got = fit(view.reweighted(w))
+    want = fit(EstimationProblem(y=base.y, X=base.X, Z=base.Z, w=w, tau=0.3,
+                                 endog_idx=base.endog_idx))
+    assert_same_fit(got, want)
+
+
+@pytest.mark.parametrize("tau", [0.0, 1.0, 1.5, -0.25, 50, float("nan")])
+def test_at_quantile_rejects_levels_the_constructor_rejects(tau):
+    base = grid_design("reference")
+    with pytest.raises(ValueError) as built:
+        replace(base, tau=tau)
+    with pytest.raises(ValueError) as viewed:
+        base.at_quantile(tau)
+    assert str(viewed.value) == str(built.value)
+    assert str(built.value).startswith("tau must lie strictly between 0 and 1")

@@ -234,6 +234,20 @@ def test_solver_bitwise_deterministic():
     assert s1.diag == s2.diag
 
 
+def test_line_search_norm_is_np_linalg_norm_bit_for_bit():
+    # _damped_newton compares sqrt(g . g), np.linalg.norm's own arithmetic
+    # on a 1-D float vector; every line-search decision rests on the equality
+    rng = np.random.default_rng(62)
+    vectors = [rng.standard_normal(p) * scale
+               for p in range(1, 9)
+               for scale in (1e-300, 1e-160, 1e-8, 1.0, 1e8, 1e154, 1e300)
+               for _ in range(50)]
+    vectors += [np.zeros(3), np.array([np.inf, 1.0]), np.array([5e-324, -5e-324])]
+    with np.errstate(over="ignore"):  # the squares overflow to inf at 1e154 and up
+        for g in vectors:
+            assert math.sqrt(g.dot(g)) == float(np.linalg.norm(g)), g
+
+
 # -------------------------------------------------------------- escalation
 
 
