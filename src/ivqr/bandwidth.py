@@ -33,20 +33,6 @@ _DEGENERATE_TOL = 1e-12
 # (1 - int G^2) / (int G'(v) v^2)^2 = (1/3) / (1/9) over [-1, 1], for the
 # complementary ramp G(v) = clip((1 + v)/2, 0, 1)
 _VAR_BIAS_RATIO = 3.0
-# quartiles of at least this many rows are found by bracketing; below it one
-# partition of every row is as fast.  Measured per call on t3 values (2-core
-# Xeon, one BLAS thread, median of 15 interleaved calls, whole partition ->
-# bracketed): 0.37 -> 0.57 ms at n = 2e4, 0.73 -> 0.83 ms at 3.5e4, 1.11 ->
-# 1.07 ms at 5e4, 2.6 -> 1.7 ms at 1e5, 4.2 -> 2.5 ms at 2e5, 24 -> 7.9 ms
-# at 1e6; on normal values the two cross near 3e4.
-QUARTILE_BRACKET_MIN_ROWS = 50_000
-# every QUARTILE_STRIDE-th row forms the sorted subsample that places each
-# bracket, QUARTILE_PAD * sqrt(m) subsample ranks to either side of the
-# quartile's rank (about 7 standard deviations of a subsample quartile's
-# rank).  At n = 1e6 each bracket holds about 4% of the rows; strides 25-100
-# and pads 2-4 measured within 7-11 ms per call.
-QUARTILE_STRIDE = 50
-QUARTILE_PAD = 3.0
 
 
 class BandwidthCandidates(NamedTuple):
@@ -93,14 +79,6 @@ def normal_pdf(x):
     return np.exp(-0.5 * x * x) / _SQRT_2PI
 
 
-def _order_statistics(a, ranks) -> list[float]:
-    """The values at ``ranks`` of ``a`` sorted ascending, NaNs last, as
-    Python floats.  ``a`` is partitioned in place; both paths of
-    :func:`quartiles` partition through here."""
-    a.partition(ranks)
-    return [a.item(r) for r in ranks]
-
-
 def _lerp(a: float, b: float, t: float) -> float:
     """numpy's quantile interpolation between order statistics ``a <= b``,
     in the same arithmetic: a + (b - a) t, or b - (b - a) (1 - t) when t >= 1/2."""
@@ -108,72 +86,36 @@ def _lerp(a: float, b: float, t: float) -> float:
     return b - d * (1.0 - t) if t >= 0.5 else a + d * t
 
 
-def _bracketed_quartiles(x) -> Optional[np.ndarray]:
-    """The quartiles of ``x`` from the rows inside two brackets, or None when
-    a bracket misses its ranks or holds a NaN."""
-    n = x.shape[0]
-    sub = np.sort(x[::QUARTILE_STRIDE])
-    m = sub.shape[0]
-    pad = QUARTILE_PAD * np.sqrt(m)
-    out = np.empty(2)
-    for j, p in enumerate((0.25, 0.75)):
-        pos = p * (n - 1)
-        k = int(pos)
-        lo = sub[max(int(p * (m - 1) - pad), 0)]
-        hi = sub[min(int(p * (m - 1) + pad) + 1, m - 1)]
-        below = x < lo
-        # NaN compares false both ways, so every NaN lands inside
-        inside = x[~(below | (x > hi))]
-        i = k - np.count_nonzero(below)
-        last = inside.shape[0] - 1
-        if not 0 <= i < last:
-            return None
-        a, b, top = _order_statistics(inside, [i, i + 1, last])
-        if math.isnan(top):
-            return None
-        out[j] = _lerp(a, b, pos - k)
-    return out
-
-
 def quartiles(x) -> np.ndarray:
     """``numpy.quantile(x, [0.25, 0.75])``, equal to it under ``==``.
 
     Each quartile at position p (n - 1) interpolates the order statistics
     of ranks k = floor(p (n - 1)) and k + 1 by :func:`_lerp`, numpy's own
-    arithmetic.  One partition of a copy of ``x`` finds all four, plus the
-    last rank, which holds a NaN if ``x`` has one; a NaN gives [nan, nan],
-    as numpy does.  From ``QUARTILE_BRACKET_MIN_ROWS`` rows on, each
-    quartile is first bracketed by order statistics of a strided subsample
-    (Floyd & Rivest 1975): the rows below the bracket are counted and only
-    the rows inside it are partitioned.  When a bracket misses its ranks or
-    holds a NaN, all of ``x`` is partitioned.  ``x`` is never written.
+    arithmetic.  One sort of a copy of ``x`` finds all four.  A NaN sorts
+    last, so a NaN anywhere gives [nan, nan], as numpy does.  ``x`` is
+    never written.
     """
-    x = np.asarray(x, dtype=float).ravel()
-    n = x.shape[0]
-    if n >= QUARTILE_BRACKET_MIN_ROWS:
-        out = _bracketed_quartiles(x)
-        if out is not None:
-            return out
-    pos = (0.25 * (n - 1), 0.75 * (n - 1))
-    k1, k3 = int(pos[0]), int(pos[1])
-    # for n = 1 both neighbours are row 0
-    a1, b1, a3, b3, top = _order_statistics(
-        x.copy(), [k1, min(k1 + 1, n - 1), k3, min(k3 + 1, n - 1), n - 1]
-    )
-    if math.isnan(top):
+    s = np.sort(np.asarray(x, dtype=float), axis=None)
+    n = s.shape[0]
+    if math.isnan(s.item(-1)):
         return np.full(2, np.nan)
-    return np.array([_lerp(a1, b1, pos[0] - k1), _lerp(a3, b3, pos[1] - k3)])
+    out = np.empty(2)
+    for j, p in enumerate((0.25, 0.75)):
+        pos = p * (n - 1)
+        k = int(pos)
+        # for n = 1 both neighbours are row 0
+        out[j] = _lerp(s.item(k), s.item(min(k + 1, n - 1)), pos - k)
+    return out
 
 
 def robust_sigma(resid) -> float:
     """Robust residual scale: min of the sample SD and IQR/1.349.
 
     The quartiles are exact linear-interpolation quartiles, equal to
-    ``numpy.quantile``'s, which :func:`quartiles` finds from one partition
-    without calling it (its first call imports ``numpy.ma``); on
-    ``QUARTILE_BRACKET_MIN_ROWS`` rows or more it partitions only the rows
-    inside two brackets.  A zero interquartile range falls back to the
-    standard deviation; fully degenerate residuals raise.
+    ``numpy.quantile``'s, which :func:`quartiles` finds from one sort
+    without calling it (its first call imports ``numpy.ma``).  A zero
+    interquartile range falls back to the standard deviation; fully
+    degenerate residuals raise.
     """
     resid = np.asarray(resid, dtype=float).ravel()
     if resid.shape[0] < 2:

@@ -14,7 +14,7 @@ import numpy as np
 
 from ivqr.estimate import DEFAULT_SEED, fit
 from ivqr.exceptions import EstimationError
-from ivqr.model import build_problem, check_bootstrap_args, nonnegative_number
+from ivqr.model import build_problem, check_bootstrap_args, convert_quantile, nonnegative_number
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -72,10 +72,16 @@ def parse_args(argv) -> argparse.Namespace:
     if not 0.0 < args.level < 100.0:
         raise ValueError(f"--level must lie strictly between 0 and 100, got {args.level}")
     # fit's own checks, before the CSV is read
+    convert_quantile(args.quantile)
     if args.reps:
         check_bootstrap_args(args.reps, args.seed)
     if args.bandwidth is not None:
         nonnegative_number("bandwidth", args.bandwidth)
+    p = len(args.endog) + len(args.exog) + (not args.noconstant)
+    if args.initial is not None and len(args.initial) != p:
+        raise ValueError(
+            f"--initial supplies {len(args.initial)} values but the model has {p} coefficients"
+        )
     for flag in ("exog", "endog", "iv"):
         if args.y in getattr(args, flag):
             raise ValueError(f"the --y column {args.y!r} is also listed under --{flag}")
@@ -274,10 +280,6 @@ def run_estimation(config: argparse.Namespace):
     prob, names, n_dropped = ingest_csv(config)
     if n_dropped:
         out.write(f"note: dropped {n_dropped} row(s) with missing values\n")
-    if config.initial is not None and len(config.initial) != prob.p:
-        raise ValueError(
-            f"--initial supplies {len(config.initial)} values but the model has {prob.p} coefficients"
-        )
     progress = None
     if config.reps > 0 and not config.nodots:
         progress = _make_progress(out)

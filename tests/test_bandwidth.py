@@ -74,38 +74,13 @@ def test_robust_sigma_degenerate_inputs():
 
 # ------------------------------------------------------ exact quartiles
 
-# with these constants patched in, arrays of a few hundred rows take the
-# bracket path and its brackets are narrower than the data
-SMALL_MIN_ROWS = 64
-SMALL_STRIDE = 4
-
-
-def bracketed_quartiles(x, min_rows=SMALL_MIN_ROWS, stride=SMALL_STRIDE):
-    """quartiles(x) under the given constants, and whether a partition saw all of x."""
-    sizes = []
-    real = bandwidth_mod._order_statistics
-
-    def spy(a, ranks):
-        sizes.append(a.size)
-        return real(a, ranks)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(bandwidth_mod, "QUARTILE_BRACKET_MIN_ROWS", min_rows)
-        mp.setattr(bandwidth_mod, "QUARTILE_STRIDE", stride)
-        mp.setattr(bandwidth_mod, "_order_statistics", spy)
-        got = quartiles(x)
-    return got, x.size in sizes
-
-
 def assert_exact_quartiles(x):
     before = x.copy()
-    got, full = bracketed_quartiles(x)
-    assert (got == np.quantile(x, [0.25, 0.75])).all()
+    assert (quartiles(x) == np.quantile(x, [0.25, 0.75])).all()
     assert x.tobytes() == before.tobytes()
-    return full
 
 
-def small_sample(kind, n, rng):
+def sample(kind, n, rng):
     if kind == "normal":
         return rng.standard_normal(n)
     if kind == "t3":
@@ -124,7 +99,7 @@ def test_quartiles_equal_np_quantile_at_every_small_n(kind):
     rng = np.random.default_rng(31)
     for n in range(1, 81):
         for _ in range(5):
-            x = small_sample(kind, n, rng)
+            x = sample(kind, n, rng)
             x.flags.writeable = False  # a write raises
             before = x.tobytes()
             with np.errstate(invalid="ignore"):  # numpy's inf - inf
@@ -143,18 +118,18 @@ def test_quartiles_of_small_samples_with_a_nan_are_nan():
         assert np.isnan(np.quantile(x, [0.25, 0.75])).all()
 
 
-sizes_around_threshold = st.integers(2, 6 * SMALL_MIN_ROWS)
+sizes = st.integers(2, 384)
 
 
 @settings(max_examples=200, deadline=None)
-@given(n=sizes_around_threshold, seed=st.integers(0, 2**32 - 1))
+@given(n=sizes, seed=st.integers(0, 2**32 - 1))
 def test_quartiles_equal_np_quantile_on_heavy_ties(n, seed):
     x = np.random.default_rng(seed).integers(0, 3, size=n).astype(float)
     assert_exact_quartiles(x)
 
 
 @settings(max_examples=200, deadline=None)
-@given(n=sizes_around_threshold, data=st.data())
+@given(n=sizes, data=st.data())
 def test_quartiles_equal_np_quantile_when_all_values_but_one_are_equal(n, data):
     x = np.full(n, data.draw(st.floats(-1e6, 1e6)))
     x[data.draw(st.integers(0, n - 1))] = data.draw(st.floats(-1e6, 1e6))
@@ -162,34 +137,25 @@ def test_quartiles_equal_np_quantile_when_all_values_but_one_are_equal(n, data):
 
 
 @settings(max_examples=200, deadline=None)
-@given(n=sizes_around_threshold, seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-6, 1e6))
+@given(n=sizes, seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-6, 1e6))
 def test_quartiles_equal_np_quantile_on_t3_tails(n, seed, scale):
     x = scale * np.random.default_rng(seed).standard_t(3, size=n)
     assert_exact_quartiles(x)
 
 
-@settings(max_examples=100, deadline=None)
-@given(n=st.integers(SMALL_MIN_ROWS, 6 * SMALL_MIN_ROWS), seed=st.integers(0, 2**32 - 1))
-def test_quartiles_fall_back_when_every_strided_row_is_an_outlier(n, seed):
-    # the subsample holds only outliers, so neither bracket reaches the body
-    x = np.random.default_rng(seed).standard_normal(n)
-    x[::SMALL_STRIDE] = 1e9 + np.arange(x[::SMALL_STRIDE].size)
-    assert assert_exact_quartiles(x)
+@pytest.mark.parametrize("n", [50_000, 1_000_000])
+@pytest.mark.parametrize("kind", ["normal", "t3", "ties"])
+def test_quartiles_equal_np_quantile_on_large_samples(kind, n):
+    x = sample(kind, n, np.random.default_rng(12))
+    assert_exact_quartiles(x)
 
 
-@pytest.mark.parametrize("with_nan", [False, True])
-def test_quartiles_bracket_at_the_shipped_constants(with_nan):
-    n = bandwidth_mod.QUARTILE_BRACKET_MIN_ROWS
-    x = np.random.default_rng(12).standard_t(3, size=n)
-    if with_nan:
-        x[n // 2 + 1] = np.nan
-    before = x.copy()
-    got, full = bracketed_quartiles(
-        x, bandwidth_mod.QUARTILE_BRACKET_MIN_ROWS, bandwidth_mod.QUARTILE_STRIDE
-    )
-    np.testing.assert_array_equal(got, np.quantile(x, [0.25, 0.75]))
-    assert full == with_nan  # a NaN inside a bracket sends all rows to one partition
-    assert x.tobytes() == before.tobytes()
+def test_quartiles_of_a_large_sample_with_a_nan_are_nan():
+    x = np.random.default_rng(13).standard_t(3, size=1_000_000)
+    x[x.size // 2 + 1] = np.nan
+    before = x.tobytes()
+    assert np.isnan(quartiles(x)).all()
+    assert x.tobytes() == before
 
 
 # --------------------------------------------------------- sub-bandwidths

@@ -698,6 +698,9 @@ def test_outcome_listed_as_a_regressor_or_instrument(demo_csv, capsys, flag, col
     (["--level", "100"], "error: --level must lie strictly between 0 and 100, got 100.0\n"),
     (["--exog", "age", "--iv", "age"], "error: every instrument duplicates an exogenous regressor\n"),
     (["--bandwidth", "-1"], "error: bandwidth must be a finite nonnegative number, got -1.0\n"),
+    (["--quantile", "150"],
+     "error: quantile must lie in (0, 1) or [1, 100) (percent scale), got 150.0\n"),
+    (["--initial", "1,2,3"], "error: --initial supplies 3 values but the model has 2 coefficients\n"),
 ])
 def test_bootstrap_flags_checked_before_reading(demo_csv, monkeypatch, capsys, flags, message):
     def no_read(config):

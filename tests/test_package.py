@@ -23,18 +23,18 @@ def test_readme_names_every_export():
 
 
 # imports the package, runs a plug-in, a bootstrap and a fixed-bandwidth fit,
-# a plug-in fit large enough for the bracketed quartiles and a CLI run on
+# a plug-in fit large enough for the subsample start and a CLI run on
 # full-rank data, then lists every scipy and numpy.ma module loaded
 NO_SCIPY_SCRIPT = """
 import sys
 import numpy as np
 import ivqr, ivqr.cli, ivqr.simulation
-from ivqr.bandwidth import QUARTILE_BRACKET_MIN_ROWS
+from ivqr.solver import SUBSAMPLE_MIN_ROWS
 prob, _ = ivqr.simulation.generate(ivqr.simulation.reference_dgp(300, 4), 0.3)
 for kwargs in ({}, {"reps": 20}, {"bandwidth": 0.3}):
     ivqr.fit(prob, **kwargs).ci
 prob, _ = ivqr.simulation.generate(
-    ivqr.simulation.reference_dgp(QUARTILE_BRACKET_MIN_ROWS, 4), 0.3)
+    ivqr.simulation.reference_dgp(SUBSAMPLE_MIN_ROWS, 4), 0.3)
 ivqr.fit(prob).ci
 rng = np.random.default_rng(5)
 z, e = rng.normal(size=(2, 300))
