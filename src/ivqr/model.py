@@ -3,68 +3,23 @@
 from __future__ import annotations
 
 import copy
-import math
+import statistics
 from dataclasses import InitVar, dataclass
 from typing import Any
 
 import numpy as np
 
-# The rational approximations of the Cephes ``ndtri`` that scipy.special ships,
-# highest degree first: P0/Q0 in (y - 1/2)^2 for exp(-2) < y < 1 - exp(-2),
-# and P1/Q1 (x < 8) or P2/Q2 in 1/x beyond, x = sqrt(-2 log y).  Each Q's
-# implied leading 1 is written out, so one Horner loop serves both (1 * x is exact).
-_NDTRI_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
-             1.39312609387279679503e1, -1.23916583867381258016e0)
-_NDTRI_Q0 = (1.0, 1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
-             -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
-             1.59056225126211695515e1, -1.18331621121330003142e0)
-_NDTRI_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
-             4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
-             -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
-_NDTRI_Q1 = (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
-             1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
-             -3.80806407691578277194e-2, -9.33259480895457427372e-4)
-_NDTRI_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
-             1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
-             3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
-_NDTRI_Q2 = (1.0, 6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
-             2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
-             2.89247864745380683936e-6, 6.79019408009981274425e-9)
-_EXP_MINUS_2 = 0.13533528323661269189
-
-
-def _horner(x, coef):
-    """The polynomial with coefficients ``coef``, highest degree first, at ``x``."""
-    acc = coef[0]
-    for c in coef[1:]:
-        acc = acc * x + c
-    return acc
+_STANDARD_NORMAL = statistics.NormalDist()
 
 
 def ndtri(y):
     """Phi^{-1}(y), the standard normal quantile of one probability, as a float.
 
-    A line-for-line port of the Cephes routine behind ``scipy.special.ndtri``,
-    so it returns the same double: -inf at 0, inf at 1, NaN outside [0, 1].
+    Wichura's AS241, through :class:`statistics.NormalDist`: a float in
+    (0, 1) gives a float and NaN gives NaN; 0, 1, anything outside (0, 1)
+    and +-inf raise ValueError (``statistics.StatisticsError`` is one).
     """
-    y = float(y)
-    if y == 0.0 or y == 1.0:
-        return math.inf if y else -math.inf
-    if not 0.0 < y < 1.0:
-        return math.nan
-    lower = y <= 1.0 - _EXP_MINUS_2
-    if not lower:
-        y = 1.0 - y
-    if y > _EXP_MINUS_2:
-        y = y - 0.5
-        y2 = y * y
-        x = y + y * (y2 * _horner(y2, _NDTRI_P0) / _horner(y2, _NDTRI_Q0))
-        return x * 2.50662827463100050242
-    x = math.sqrt(-2.0 * math.log(y))
-    z = 1.0 / x
-    p, q = (_NDTRI_P1, _NDTRI_Q1) if x < 8.0 else (_NDTRI_P2, _NDTRI_Q2)
-    x = x - math.log(x) / x - z * _horner(z, p) / _horner(z, q)
-    return -x if lower else x
+    return _STANDARD_NORMAL.inv_cdf(float(y))
 
 
 def _as_2d(a, name, n_rows=None):
@@ -413,9 +368,15 @@ class FitResult:
 
     @property
     def ci(self) -> np.ndarray:
-        """Normal-theory intervals at ``level``, one (lower, upper) row per coefficient."""
+        """Normal-theory intervals at ``level``, one (lower, upper) row per coefficient:
+        beta - z * se and beta + z * se with z = -Phi^{-1}((1 - level) / 2).
+
+        z comes from the lower tail: (1 - level) / 2 is exact for level >= 1/2
+        and never reaches 0 or 1, while (1 + level) / 2 rounds to 1 at
+        level = 1 - 2**-53.
+        """
         se = self.se
-        zq = ndtri(0.5 * (1.0 + self.level))
+        zq = -ndtri(0.5 * (1.0 - self.level))
         ci = np.column_stack([self.beta - zq * se, self.beta + zq * se])
         ci.flags.writeable = False
         return ci

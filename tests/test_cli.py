@@ -188,6 +188,21 @@ def test_level_flag_narrows_intervals(demo_csv, tmp_path, capsys):
         assert hi90 - lo90 < hi95 - lo95
 
 
+def test_level_just_below_100_writes_strict_json(demo_csv, tmp_path, capsys):
+    # level 1 - 2**-53, where 0.5 * (1 + level) rounds to 1 and Phi^{-1} of it is inf
+    out_json = tmp_path / "fit.json"
+    argv = ["--data", demo_csv, "--y", "wage", "--endog", "educ", "--iv", "dist",
+            "--quantile", "0.5", "--level", "99.99999999999999", "--json", str(out_json)]
+    assert main(argv) == EXIT_OK
+    capsys.readouterr()
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    doc = json.loads(out_json.read_text(), parse_constant=reject)
+    assert np.isfinite(doc["ci"]).all()
+
+
 def test_noconstant(demo_csv, tmp_path, capsys):
     out_json = tmp_path / "fit.json"
     code, out, err = run_cli(

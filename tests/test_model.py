@@ -2,6 +2,7 @@
 
 import math
 import re
+import statistics
 import tracemalloc
 
 import numpy as np
@@ -56,10 +57,11 @@ def test_convert_quantile_percentiles_land_in_unit_interval(pct):
 
 
 def ndtri_grid():
-    """Probabilities through all three of Cephes ndtri's approximations and
-    both tails: uniform draws, an even grid with 0 and 1, log-uniform tails
-    down to 1e-300 and their complements, each branch edge with its
-    neighbouring doubles, and the quantile and level values the tests use."""
+    """Probabilities over (0, 1), its ends and both tails: uniform draws, an
+    even grid with 0 and 1, log-uniform tails down to 1e-300 and their
+    complements (many of which round to 1), the branch edges of scipy's
+    Cephes ndtri and other landmarks with their neighbouring doubles, and
+    the quantile and level values the tests use."""
     rng = np.random.default_rng(26)
     tails = 10.0 ** rng.uniform(-300.0, 0.0, size=15_000)
     edges = np.array([math.exp(-2), 1 - math.exp(-2), math.exp(-32), 1 - math.exp(-32),
@@ -70,21 +72,35 @@ def ndtri_grid():
                            1 - tails, edges, np.nextafter(edges, 0), np.nextafter(edges, 1), taus])
 
 
-def test_ndtri_equals_scipy_bit_for_bit():
+def test_ndtri_is_within_8_ulp_of_scipy():
     p = ndtri_grid()
+    p = p[(p > 0.0) & (p < 1.0)]
     got = np.array([ndtri(v) for v in p.tolist()])
-    assert got.tobytes() == scipy_ndtri(p).tobytes()
-    assert ndtri(np.float64(0.25)) == scipy_ndtri(0.25)
+    want = scipy_ndtri(p)
+    # same sign, so the gap between the bit patterns counts the doubles between
+    # them; on these 65 877 probabilities it is at most 6 ulp, and 31% are equal
+    assert (np.signbit(got) == np.signbit(want)).all()
+    assert np.abs(got.view(np.int64) - want.view(np.int64)).max() <= 8
+    # equal bits at the quartiles and the median, the levels the benchmarks fit
+    for tau in (0.25, 0.5, 0.75):
+        q = ndtri(np.float64(tau))
+        assert type(q) is float and q == scipy_ndtri(tau)
 
 
-@pytest.mark.parametrize("p, want", [
+@pytest.mark.parametrize("p, scipy_gives", [
     (0.0, -math.inf), (1.0, math.inf), (-1e-300, math.nan), (1.0 + 2.0**-52, math.nan),
     (-math.inf, math.nan), (math.inf, math.nan), (math.nan, math.nan),
 ])
-def test_ndtri_edges(p, want):
-    got = ndtri(p)
-    assert type(got) is float
-    assert got == want or (math.isnan(got) and math.isnan(want))
+def test_ndtri_edges(p, scipy_gives):
+    """Where scipy's ndtri gives +-inf (at 0 and 1) or NaN (off [0, 1]), ndtri
+    raises ValueError; NaN alone passes through as NaN."""
+    np.testing.assert_equal(scipy_ndtri(p), scipy_gives)
+    if math.isnan(p):
+        got = ndtri(p)
+        assert type(got) is float and math.isnan(got)
+    else:
+        with pytest.raises(ValueError):
+            ndtri(p)
 
 
 # -------------------------------------------------------------- assembly
@@ -396,6 +412,17 @@ def test_fit_result_derives_normal_cis():
     np.testing.assert_allclose(res.ci[:, 1], beta + zq * res.se, rtol=1e-12)
 
 
+def test_fit_result_ci_is_finite_at_the_largest_level_below_one():
+    # 0.5 * (1 + level) rounds to 1 here; the lower tail (1 - level) / 2 is 2**-54
+    beta = np.array([1.0, -2.0])
+    res = FitResult(beta=beta, cov=np.diag([0.04, 0.09]), bandwidth=None, n_obs=100,
+                    solver=None, vcov_kind="analytic", level=1.0 - 2.0**-53)
+    zq = -ndtri(2.0**-54)
+    ci = np.column_stack([beta - zq * res.se, beta + zq * res.se])
+    assert np.isfinite(res.ci).all()
+    assert res.ci.tobytes() == ci.tobytes()
+
+
 @pytest.mark.parametrize("reps", [0, 50])
 def test_fit_se_and_ci_are_read_only_and_derived_from_cov(reps):
     y, x, d, z = small_problem(n=200, seed=5)
@@ -403,7 +430,7 @@ def test_fit_se_and_ci_are_read_only_and_derived_from_cov(reps):
     res = fit(prob, level=0.9, reps=reps)
     assert res.vcov_kind == ("analytic" if reps == 0 else "bootstrap")
     se = np.sqrt(np.diag(res.cov))
-    zq = scipy_ndtri(0.5 * (1.0 + 0.9))
+    zq = -statistics.NormalDist().inv_cdf(0.5 * (1.0 - 0.9))
     ci = np.column_stack([res.beta - zq * se, res.beta + zq * se])
     assert res.se.tobytes() == se.tobytes() and res.se.shape == se.shape
     assert res.ci.tobytes() == ci.tobytes() and res.ci.shape == ci.shape
