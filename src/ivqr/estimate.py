@@ -6,7 +6,8 @@ import numpy as np
 
 from ivqr.bandwidth import BandwidthReport, fit_with_plugin, plug_in_bandwidth
 from ivqr.inference import analytic_covariance, bayesian_bootstrap
-from ivqr.model import EstimationProblem, FitResult, check_bootstrap_args, nonnegative_number
+from ivqr.model import (EstimationProblem, FitResult, check_bootstrap_args, nonnegative_number,
+                        probability)
 from ivqr.projection import _TauFree, project_instruments
 from ivqr.solver import residuals, solve_see
 
@@ -48,8 +49,7 @@ def fit(
     :class:`~ivqr.projection._TauFree` record that the fits of one
     dataset's levels fill and read, so its tau-free work runs once.
     """
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must lie strictly between 0 and 1, got {level}")
+    level = probability("level", level)
     bandwidth = None if bandwidth is None else nonnegative_number("bandwidth", bandwidth)
     if reps != 0:
         reps, seed = check_bootstrap_args(reps, seed)

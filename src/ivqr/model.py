@@ -36,13 +36,6 @@ def _as_2d(a, name, n_rows=None):
     return a
 
 
-def _quantile_level(tau) -> float:
-    """``tau`` as a float; ValueError unless it lies strictly between 0 and 1."""
-    if not 0.0 < tau < 1.0:
-        raise ValueError(f"tau must lie strictly between 0 and 1, got {tau}")
-    return float(tau)
-
-
 def _readonly(a, owned=False):
     """A read-only float copy of ``a``; ``a`` itself when ``owned`` says
     that nothing else holds it."""
@@ -100,7 +93,7 @@ class EstimationProblem:
             raise ValueError("weights must be nonnegative")
         if w.sum() <= 0:
             raise ValueError("weights sum to zero")
-        tau = _quantile_level(self.tau)
+        tau = probability("tau", self.tau)
         endog = tuple(int(j) for j in self.endog_idx)
         if any(j < 0 or j >= p for j in endog):
             raise ValueError(f"endog_idx {endog} out of range for p={p}")
@@ -125,7 +118,7 @@ class EstimationProblem:
         checks it.  :func:`~ivqr.simulation.fit_levels` fits each level of a
         grid on one of these.
         """
-        tau = _quantile_level(tau)
+        tau = probability("tau", tau)
         new = copy.copy(self)
         object.__setattr__(new, "tau", tau)
         return new
@@ -227,6 +220,13 @@ def positive_number(name: str, value) -> float:
     if not (np.isfinite(h) and h > 0):
         raise ValueError(f"{name} must be a finite positive number, got {value}")
     return h
+
+
+def probability(name: str, value) -> float:
+    """``value`` as a float; ValueError naming ``name`` unless it lies strictly between 0 and 1."""
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"{name} must lie strictly between 0 and 1, got {value}")
+    return float(value)
 
 
 def convert_quantile(quantile: float) -> float:
@@ -353,11 +353,10 @@ class FitResult:
             raise ValueError(f"covariance matrix is not PSD (min eigenvalue {eigmin:g})")
         if self.vcov_kind not in ("analytic", "bootstrap"):
             raise ValueError(f"unknown vcov_kind {self.vcov_kind!r}")
-        if not 0.0 < self.level < 1.0:
-            raise ValueError("level must lie in (0, 1)")
+        level = probability("level", self.level)
         object.__setattr__(self, "beta", _readonly(beta))
         object.__setattr__(self, "cov", _readonly(cov))
-        object.__setattr__(self, "level", float(self.level))
+        object.__setattr__(self, "level", level)
 
     @property
     def se(self) -> np.ndarray:

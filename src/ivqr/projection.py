@@ -41,8 +41,8 @@ def check_rank(A, label, w=None):
     """Raise :class:`RankDeficientError` unless ``diag(sqrt(w)) A`` (``A``
     when ``w`` is None) has full column rank.
 
-    The rank counts singular values above ``RANK_RTOL`` times the largest; a
-    column-pivoted QR then names a column that adds nothing new.  Both run
+    The rank counts singular values above ``RANK_RTOL`` times the largest; an
+    unpivoted QR then names a column that the columns before it explain.  Both run
     only when the Gram matrix A' diag(w) A, built one column at a time, is
     not clearly nonsingular (see ``GRAM_RTOL``), so a full-rank tall matrix
     costs q passes over its rows and no copy of it.
@@ -60,11 +60,14 @@ def check_rank(A, label, w=None):
     smax = svals[0] if svals.size else 0.0
     rank = int(np.sum(svals > RANK_RTOL * smax)) if smax > 0 else 0
     if rank < k:
-        import scipy.linalg  # here, not at import: runs on rank-deficient input only
-        _, _, piv = scipy.linalg.qr(A, mode="economic", pivoting=True)
+        # |R_jj| is column j's distance from the span of columns 0..j-1, 0 past the last row;
+        # name the first within the rank cut, else the smallest
+        r = np.zeros(k)
+        r[:min(A.shape)] = np.abs(np.diagonal(np.linalg.qr(A, mode="r")))
+        small = np.flatnonzero(r <= RANK_RTOL * smax)
         raise RankDeficientError(
-            f"{label} is rank deficient (rank {rank} of {k}); "
-            f"column {min(int(j) for j in piv[rank:])} is linearly dependent on the others"
+            f"{label} is rank deficient (rank {rank} of {k}); column "
+            f"{small[0] if small.size else np.argmin(r)} is linearly dependent on the others"
         )
 
 

@@ -10,7 +10,7 @@ import numpy as np
 from ivqr.estimate import fit
 from ivqr.exceptions import EstimationError
 from ivqr.model import (EstimationProblem, FitResult, build_problem, ndtri, nonnegative_number,
-                        seed_number, whole_number)
+                        probability, seed_number, whole_number)
 from ivqr.projection import _TauFree
 
 LOCATION_SHIFT = "location-shift"
@@ -86,7 +86,6 @@ def generate(spec: DgpSpec, tau: float = 0.5):
         def true_beta_at(t):
             return np.array([1.0, 1.0 + ndtri(t)])
     elif spec.kind == RANDOM_COEFFICIENT:
-        from scipy.special import ndtri as ndtri_array  # vectorised, not a call per row
         k = whole_number("n_instruments", spec.n_instruments)
         if k != 1:
             raise ValueError(f"the {RANDOM_COEFFICIENT} design has one instrument; "
@@ -101,9 +100,9 @@ def generate(spec: DgpSpec, tau: float = 0.5):
         x *= np.add(u, 0.5, out=e)
         slope = np.add(u, 1.0, out=e)
         slope *= x
-        y = ndtri_array(u, out=u)  # u is spent: y takes its buffer
+        y = np.fromiter(map(ndtri, u), float, n)
         y += slope
-        del e, slope
+        del u, e, slope
 
         def true_beta_at(t):
             return np.array([1.0 + t, ndtri(t)])
@@ -190,8 +189,7 @@ def monte_carlo(
     if n_reps < 2 or not taus:
         raise ValueError(f"need n_reps >= 2 and at least one tau, got {n_reps} and {taus}")
     for name, value in [("tau", t) for t in taus] + [("level", level)]:
-        if not 0.0 < value < 1.0:
-            raise ValueError(f"{name} must lie strictly between 0 and 1, got {value}")
+        probability(name, value)
     bandwidth = None if bandwidth is None else nonnegative_number("bandwidth", bandwidth)
     fits = [[] for _ in taus]  # per level: (beta, se, covered) of each successful fit
     for r in range(n_reps):

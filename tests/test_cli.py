@@ -797,7 +797,7 @@ def test_negative_bandwidth(demo_csv, capsys):
 
 def test_collinear_weighted_instruments_exit_numeric(tmp_path, capsys):
     # the Gram matrix of dist and 2 dist is singular, so the rank guard falls
-    # back to the SVD and the pivoted QR, which name the dependent column
+    # back to the SVD and the QR, which name the dependent column
     cols = demo_columns(n=150, seed=9)
     cols["dist2"] = 2.0 * cols["dist"]
     path = write_csv(tmp_path / "collinear.csv", cols)

@@ -469,7 +469,7 @@ def test_fit_result_rejects_non_finite_entries(field, cells, bad):
 @pytest.mark.parametrize("fields, message", [
     ({"cov": np.eye(3)}, "cov must be 2x2, got (3, 3)"),
     ({"vcov_kind": "sandwich"}, "unknown vcov_kind 'sandwich'"),
-    ({"level": 95.0}, "level must lie in (0, 1)"),
+    ({"level": 95.0}, "level must lie strictly between 0 and 1, got 95.0"),
 ], ids=["cov-shape", "vcov-kind", "level"])
 def test_fit_result_rejects_bad_fields(fields, message):
     args = {"beta": np.zeros(2), "cov": np.eye(2), "vcov_kind": "analytic", "level": 0.9,

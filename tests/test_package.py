@@ -23,12 +23,14 @@ def test_readme_names_every_export():
 
 
 # imports the package, runs a plug-in, a bootstrap and a fixed-bandwidth fit,
-# a plug-in fit large enough for the subsample start and a CLI run on
-# full-rank data, then lists every scipy and numpy.ma module loaded
+# a plug-in fit large enough for the subsample start, a fit on the
+# random-coefficient design, a fit with collinear instruments and a CLI run,
+# then lists every scipy and numpy.ma module loaded
 NO_SCIPY_SCRIPT = """
 import sys
 import numpy as np
 import ivqr, ivqr.cli, ivqr.simulation
+from ivqr.exceptions import RankDeficientError
 from ivqr.solver import SUBSAMPLE_MIN_ROWS
 prob, _ = ivqr.simulation.generate(ivqr.simulation.reference_dgp(300, 4), 0.3)
 for kwargs in ({}, {"reps": 20}, {"bandwidth": 0.3}):
@@ -36,6 +38,17 @@ for kwargs in ({}, {"reps": 20}, {"bandwidth": 0.3}):
 prob, _ = ivqr.simulation.generate(
     ivqr.simulation.reference_dgp(SUBSAMPLE_MIN_ROWS, 4), 0.3)
 ivqr.fit(prob).ci
+prob, _ = ivqr.simulation.generate(
+    ivqr.simulation.DgpSpec(kind=ivqr.simulation.RANDOM_COEFFICIENT, n=300, seed=4), 0.3)
+ivqr.fit(prob).ci
+z = prob.Z[:, 0]
+try:
+    ivqr.fit(ivqr.build_problem(prob.y, raw_endog=prob.X[:, 0], raw_instr=np.column_stack(
+        [z, 2 * z]), quantile=0.3))
+except RankDeficientError:
+    pass
+else:
+    raise SystemExit("collinear instruments were accepted")
 rng = np.random.default_rng(5)
 z, e = rng.normal(size=(2, 300))
 d = z + e
@@ -48,11 +61,10 @@ print(code, sorted(m for m in sys.modules if m.startswith("scipy")),
 """
 
 
-def test_import_and_full_rank_fits_load_no_scipy_or_numpy_ma(tmp_path):
-    # scipy is imported only for a rank-deficient matrix's pivoted QR and
-    # the random-coefficient design's vector Phi^{-1}; loading it costs more
-    # than importing the package.  np.quantile's first call imports numpy.ma,
-    # which bandwidth.quartiles never calls
+def test_import_and_fits_load_no_scipy_or_numpy_ma(tmp_path):
+    # the package runs on numpy alone: scipy, which costs more to load than
+    # the package, is a test dependency.  np.quantile's first call imports
+    # numpy.ma, which bandwidth.quartiles never calls
     src = str(Path(ivqr.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     out = subprocess.run(

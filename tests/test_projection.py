@@ -1,5 +1,6 @@
 """Tests for instrument projection and the linear IV starting value."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -56,6 +57,42 @@ def test_check_rank_names_dependent_column():
         else:
             check_rank(Q * s, "test matrix")
             np.testing.assert_allclose(M @ solve_nonsingular(M, b, "test message"), b, atol=1e-6)
+
+
+def svd_rank(A):
+    svals = np.linalg.svd(A, compute_uv=False)
+    return int(np.sum(svals > RANK_RTOL * svals[0])) if svals.size and svals[0] > 0 else 0
+
+
+def test_check_rank_names_a_column_the_others_explain():
+    # deleting the named column leaves the SVD rank of sqrt(w) A unchanged:
+    # random deficient matrices with one column a combination of the others,
+    # zeroed rows and zero weights, tall, square and wide.  The smallest
+    # |R_jj| of an unpivoted QR alone names an independent column of some
+    # wide matrices
+    rng = np.random.default_rng(29)
+    shapes = [(40, 3), (8, 5), (6, 6), (5, 6), (3, 4), (2, 5)]
+    for trial in range(3000):
+        m, k = shapes[trial % len(shapes)]
+        A = rng.normal(size=(m, k))
+        j = rng.integers(k)
+        others = np.delete(np.arange(k), j)
+        A[:, j] = A[:, others] @ (rng.normal(size=k - 1) * (rng.uniform(size=k - 1) < 0.7))
+        A[rng.uniform(size=m) < 0.15] = 0.0
+        w = None
+        if trial % 2:
+            w = rng.uniform(0.2, 3.0, size=m)
+            w[rng.uniform(size=m) < 0.15] = 0.0
+        sw = A if w is None else A * np.sqrt(w)[:, None]
+        rank = svd_rank(sw)
+        with pytest.raises(RankDeficientError) as err:
+            check_rank(A, "test matrix", w)
+        got = re.fullmatch(r"test matrix is rank deficient \(rank (\d+) of (\d+)\); column "
+                           r"(\d+) is linearly dependent on the others", str(err.value))
+        assert got is not None, str(err.value)
+        assert (int(got[1]), int(got[2])) == (rank, k)
+        col = int(got[3])
+        assert svd_rank(np.delete(sw, col, axis=1)) == rank, (trial, m, k, col)
 
 
 def test_gram_filter_decides_as_the_svd(monkeypatch):

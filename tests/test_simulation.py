@@ -84,8 +84,8 @@ def test_random_coefficient_truth_and_restriction():
 @pytest.mark.parametrize("kind", [LOCATION_SHIFT, RANDOM_COEFFICIENT])
 def test_generate_memory_is_a_few_vectors(kind):
     # a draw holds a few n-vectors and the problem's copies of them, no
-    # n-row array per point of a grid of ranks; the warm-up draw keeps a
-    # first import of scipy's Phi^{-1} out of the traced peak
+    # n-row array per point of a grid of ranks; the warm-up draw keeps
+    # one-time first-call allocations out of the traced peak
     generate(DgpSpec(kind=kind, n=100, seed=1))
     n = 200_000
     tracemalloc.start()
@@ -99,9 +99,9 @@ def test_generate_memory_is_a_few_vectors(kind):
 
 @pytest.mark.parametrize("kind", [LOCATION_SHIFT, RANDOM_COEFFICIENT])
 def test_generate_holds_no_spent_draw(kind):
-    # v, x and y overwrite the draws they are made from, so the draw peaks
+    # v, x and y overwrite or free the draws they are made from, so the draw peaks
     # in build_problem at z, x, y and the problem's arrays
-    generate(DgpSpec(kind=kind, n=100, seed=1))  # first import and call of scipy's Phi^{-1}
+    generate(DgpSpec(kind=kind, n=100, seed=1))  # first call, out of the traced peak
     n = 200_000
     tracemalloc.start()
     try:
