@@ -66,17 +66,21 @@ class BandwidthReport:
         That is the weak-identification warning condition: even the most
         generous data-driven bandwidth was infeasible.
         """
-        return (
-            self.h_max is not None
-            and np.isfinite(self.h_max)
-            and self.h_used > self.h_max * (1.0 + 1e-12)
-        )
+        return self.h_max is not None and self.h_used > self.h_max * (1.0 + 1e-12)
+
+
+def _phi(k):
+    """The standard normal density of the float array ``k``, written over it."""
+    np.square(k, out=k)
+    k *= -0.5
+    np.exp(k, out=k)
+    k /= _SQRT_2PI
+    return k
 
 
 def normal_pdf(x):
-    """Standard normal density, exp(-x^2/2) / sqrt(2 pi)."""
-    x = np.asarray(x, dtype=float)
-    return np.exp(-0.5 * x * x) / _SQRT_2PI
+    """Standard normal density, exp(-x^2/2) / sqrt(2 pi); ``x`` is never written."""
+    return _phi(np.array(x, dtype=float))[()]
 
 
 def _lerp(a: float, b: float, t: float) -> float:
@@ -130,35 +134,31 @@ def robust_sigma(resid) -> float:
     return sd
 
 
-def s_star(n: int, sigma: float, tau: float) -> float:
+def s_star(n: int, sigma: float, q: float) -> float:
     """Sub-bandwidth for the kernel density estimate at zero.
 
     Gaussian-reference plug-in for estimating f(0) from residuals whose
-    tau-quantile is zero.  Returns +inf when the reference curvature term
-    (q^2 - 1)^2 vanishes (tau near Phi(+-1)), signalling that the
-    nonparametric candidate should be skipped.
+    tau-quantile is zero, q = Phi^{-1}(tau).  Returns +inf when the
+    reference curvature term (q^2 - 1)^2 vanishes (q near +-1), signalling
+    that the nonparametric candidate should be skipped.
     """
-    q = ndtri(tau)
     shape = (q * q - 1.0) ** 2
     if shape < _DEGENERATE_TOL:
         return float("inf")
-    value = _C_SUB_S * n ** (-0.2) * sigma * (normal_pdf(q) * shape) ** (-0.2)
-    return value if np.isfinite(value) else float("inf")
+    return _C_SUB_S * n ** (-0.2) * sigma * (normal_pdf(q) * shape) ** (-0.2)
 
 
-def b_star(n: int, sigma: float, tau: float) -> float:
-    """Sub-bandwidth for the kernel estimate of f'(0).
+def b_star(n: int, sigma: float, q: float) -> float:
+    """Sub-bandwidth for the kernel estimate of f'(0), q = Phi^{-1}(tau).
 
     Returns +inf when the Gaussian-reference denominator
-    phi(q) q^2 (3 - q^2)^2 vanishes (the median, tau = Phi(+-sqrt(3)), or
+    phi(q) q^2 (3 - q^2)^2 vanishes (the median, q = +-sqrt(3), or
     extreme tails).
     """
-    q = ndtri(tau)
     den = normal_pdf(q) * q * q * (3.0 - q * q) ** 2
     if den < _DEGENERATE_TOL:
         return float("inf")
-    value = n ** (-1.0 / 7.0) * sigma * (_C_SUB_B / den) ** (1.0 / 7.0)
-    return value if np.isfinite(value) else float("inf")
+    return n ** (-1.0 / 7.0) * sigma * (_C_SUB_B / den) ** (1.0 / 7.0)
 
 
 def kde_f0(resid, s: float) -> float:
@@ -168,11 +168,7 @@ def kde_f0(resid, s: float) -> float:
     """
     resid = np.asarray(resid, dtype=float).ravel()
     n = resid.shape[0]
-    k = np.divide(resid, -s)
-    np.square(k, out=k)
-    k *= -0.5
-    np.exp(k, out=k)
-    k /= _SQRT_2PI
+    k = _phi(np.divide(resid, -s))
     return float(np.sum(k) / (n * s))
 
 
@@ -185,10 +181,7 @@ def kde_fprime0(resid, b: float) -> float:
     resid = np.asarray(resid, dtype=float).ravel()
     n = resid.shape[0]
     neg_u = np.divide(resid, b)
-    k = np.square(neg_u)
-    k *= -0.5
-    np.exp(k, out=k)
-    k /= _SQRT_2PI
+    k = _phi(neg_u.copy())
     k *= neg_u
     return float(np.sum(k) / (n * b * b))
 
@@ -202,32 +195,28 @@ def plug_in_bandwidth(prob: EstimationProblem, resid, *, _sigma=None) -> Bandwid
     which is the safe direction for the estimating equations.  ``_sigma``,
     when given, is ``robust_sigma(resid)``, computed earlier by the caller.
     """
-    resid = np.asarray(resid, dtype=float).ravel()
     n = prob.n
     d = prob.p
     sigma = robust_sigma(resid) if _sigma is None else _sigma
     q = ndtri(prob.tau)
 
-    s = s_star(n, sigma, prob.tau)
-    b = b_star(n, sigma, prob.tau)
-    f0 = None
-    fp0 = None
+    s = s_star(n, sigma, q)
+    b = b_star(n, sigma, q)
+    f0 = fp0 = None
     h_np = float("inf")
     if np.isfinite(s) and np.isfinite(b):
         f0 = kde_f0(resid, s)
         fp0 = kde_fprime0(resid, b)
         if abs(fp0) >= _DEGENERATE_TOL:
-            h_np = n ** (-1.0 / 3.0) * (_VAR_BIAS_RATIO * d * f0 / fp0**2) ** (1.0 / 3.0)
-            if not np.isfinite(h_np):
-                h_np = float("inf")
+            # numpy's ** gives +inf (h_np 0) where float's raises OverflowError, in the same bits
+            ratio = float(_VAR_BIAS_RATIO * d * f0 / np.float64(fp0) ** 2)
+            h_np = n ** (-1.0 / 3.0) * ratio ** (1.0 / 3.0)
 
     if q * q < _DEGENERATE_TOL:
         h_gauss = float("inf")
     else:
         ratio = _VAR_BIAS_RATIO * d / (q * q * normal_pdf(q))
         h_gauss = n ** (-1.0 / 3.0) * sigma * ratio ** (1.0 / 3.0)
-        if not np.isfinite(h_gauss):
-            h_gauss = float("inf")
 
     h_silver = 1.06 * sigma * n ** (-0.2)
 

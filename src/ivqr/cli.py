@@ -192,15 +192,12 @@ def _parse_cells(reader, cols, usecols, path):
             continue
         values = []
         for c, j in zip(cols, usecols):
-            cell = row[j].strip() if j < len(row) else ""
-            if cell == "":
-                values.append(np.nan)
-                continue
+            cell = row[j] if j < len(row) else ""
             try:
-                values.append(float(cell))
+                values.append(_cell_or_nan(cell))
             except ValueError:
                 raise ValueError(
-                    f"unparseable value {cell!r} at line {i}, column {c!r} of {path}"
+                    f"unparseable value {cell.strip()!r} at line {i}, column {c!r} of {path}"
                 )
         rows.append(values)
     return np.array(rows, dtype=float).reshape(-1, len(cols))

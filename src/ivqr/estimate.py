@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from ivqr.bandwidth import BandwidthReport, fit_with_plugin, plug_in_bandwidth
 from ivqr.inference import analytic_covariance, bayesian_bootstrap
 from ivqr.model import (EstimationProblem, FitResult, check_bootstrap_args, nonnegative_number,

@@ -206,9 +206,17 @@ def check_bootstrap_args(reps, seed) -> tuple:
     return reps, seed
 
 
+def real_number(name: str, value) -> float:
+    """``value`` as ``float`` reads it; ValueError naming ``name`` where ``float`` fails."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{name} must be a number, got {value!r}") from None
+
+
 def nonnegative_number(name: str, value) -> float:
     """``value`` as a float; ValueError naming ``name`` unless it is finite and at least 0."""
-    h = float(value)
+    h = real_number(name, value)
     if not (np.isfinite(h) and h >= 0):
         raise ValueError(f"{name} must be a finite nonnegative number, got {value}")
     return h
@@ -216,7 +224,7 @@ def nonnegative_number(name: str, value) -> float:
 
 def positive_number(name: str, value) -> float:
     """``value`` as a float; ValueError naming ``name`` unless it is finite and above 0."""
-    h = float(value)
+    h = real_number(name, value)
     if not (np.isfinite(h) and h > 0):
         raise ValueError(f"{name} must be a finite positive number, got {value}")
     return h
@@ -224,9 +232,10 @@ def positive_number(name: str, value) -> float:
 
 def probability(name: str, value) -> float:
     """``value`` as a float; ValueError naming ``name`` unless it lies strictly between 0 and 1."""
-    if not 0.0 < value < 1.0:
+    p = real_number(name, value)
+    if not 0.0 < p < 1.0:
         raise ValueError(f"{name} must lie strictly between 0 and 1, got {value}")
-    return float(value)
+    return p
 
 
 def convert_quantile(quantile: float) -> float:
@@ -235,7 +244,7 @@ def convert_quantile(quantile: float) -> float:
     Values in (0, 1) are taken as probabilities; values in [1, 100) are read
     as percentiles, so 50 means the median and 1 means the first percentile.
     """
-    quantile = float(quantile)
+    quantile = real_number("quantile", quantile)
     if 0.0 < quantile < 1.0:
         return quantile
     if 1.0 <= quantile < 100.0:

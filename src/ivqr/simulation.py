@@ -183,13 +183,12 @@ def monte_carlo(
     the sizes, every level in ``taus`` and ``level`` are checked before the
     first draw, and so is ``bandwidth``, as ``fit`` checks it.
     """
-    taus = [float(t) for t in taus]
+    taus = [probability("tau", t) for t in taus]
     seed = seed_number(spec.seed)
     n_reps = whole_number("n_reps", n_reps)
     if n_reps < 2 or not taus:
         raise ValueError(f"need n_reps >= 2 and at least one tau, got {n_reps} and {taus}")
-    for name, value in [("tau", t) for t in taus] + [("level", level)]:
-        probability(name, value)
+    probability("level", level)
     bandwidth = None if bandwidth is None else nonnegative_number("bandwidth", bandwidth)
     fits = [[] for _ in taus]  # per level: (beta, se, covered) of each successful fit
     for r in range(n_reps):

@@ -220,12 +220,12 @@ def _damped_newton(prob, zhat, beta0, h, tol, zw, ws=None):
     beta = np.asarray(beta0, dtype=float).copy()
     v = ws.v if ws.v is not None else residuals(prob, beta, ws.resid)
     g = see_residual(prob, zhat, beta, h, v=v, zw=zw, _ws=ws)
-    for it in range(MAX_NEWTON_ITER):
+    for it in range(MAX_NEWTON_ITER + 1):
         # the p-vector checks call ndarray methods: at small n the np.max and
         # np.all wrappers cost more than a stage's workspace
         gn = float(abs(g).max())
-        if gn <= tol:
-            return beta, it, True, gn
+        if gn <= tol or it == MAX_NEWTON_ITER:
+            return beta, it, gn <= tol, gn
         J = see_jacobian(prob, zhat, beta, h, v=v, _ws=ws)
         try:
             step = np.linalg.solve(J, -g)
@@ -252,8 +252,6 @@ def _damped_newton(prob, zhat, beta0, h, tol, zw, ws=None):
                 "h=%.8g iter=%d resid_inf=%.3e step=%.3e",
                 h, it + 1, float(np.max(np.abs(g))), float(np.linalg.norm(lam * step)),
             )
-    gn = float(abs(g).max())
-    return beta, MAX_NEWTON_ITER, gn <= tol, gn
 
 
 def _stage(prob, zhat, beta0, h, tol, zw, diag, *ws):

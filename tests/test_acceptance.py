@@ -503,3 +503,37 @@ def test_c12_escalation_diagnostics(tmp_path, capsys):
         f"escalations={res.solver.bandwidth_escalations}; leg2 (plug-in past max): "
         f"bwidth={doc['bwidth']:.4g} vs max={doc['bwidth_max']:.4g}",
     )
+
+
+# ------------------------------------------------------------- criterion 13
+
+
+def test_c13_smoothing_beats_the_unsmoothed_root():
+    # the paper's claim (Kaplan & Sun 2017): smoothing makes IV quantile
+    # regression more accurate and faster.  Each reference dataset is fitted
+    # at every level twice, at the plug-in bandwidth and at bandwidth=0 (the
+    # smallest feasible one, the near-unsmoothed root); the squared errors of
+    # every coefficient pool over levels and datasets.  The MCSE of the RMSE
+    # ratio is the SD of its paired bootstrap over datasets.  80 datasets put
+    # the ratio about 4 MCSE below 1; the iteration counts are deterministic
+    n_sets = 80
+    sq_err = np.zeros((2, n_sets))  # plug-in, bandwidth=0
+    iters = [0, 0]
+    for s in range(n_sets):
+        base, true_at = generate(reference_dgp(2000, 10_000 + s), tau=0.5)
+        for k, bandwidth in enumerate((None, 0.0)):
+            for t, res in zip(TAUS, fit_levels(base, TAUS, bandwidth=bandwidth)):
+                assert res is not None, f"the fit at tau={t} failed on dataset {10_000 + s}"
+                sq_err[k, s] += np.sum((res.beta - true_at(t)) ** 2)
+                iters[k] += res.solver.iterations
+    ratio = np.sqrt(sq_err[0].sum() / sq_err[1].sum())
+    draws = np.random.default_rng(13).integers(0, n_sets, size=(2000, n_sets))
+    boot = np.sqrt(sq_err[0][draws].sum(axis=1) / sq_err[1][draws].sum(axis=1))
+    mcse = float(boot.std(ddof=1))
+    check(
+        13,
+        "plug-in smoothing beats bandwidth=0 in RMSE by 3 MCSE, in fewer Newton iterations",
+        ratio < 1.0 - 3.0 * mcse and iters[0] < iters[1],
+        f"pooled RMSE ratio {ratio:.4f} (MCSE {mcse:.4f}, {(1.0 - ratio) / mcse:.1f} MCSE "
+        f"below 1); Newton iterations {iters[0]} plug-in vs {iters[1]} at bandwidth=0",
+    )

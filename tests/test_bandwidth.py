@@ -4,7 +4,7 @@ import copy
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.stats import gaussian_kde, norm
 
@@ -165,28 +165,29 @@ def test_s_star_closed_form_at_median():
     # q = 0: phi(0) = 1/sqrt(2 pi) and the curvature factor is 1, so the
     # n = sigma = 1 value is 0.776 * (2 pi)^(1/10)
     expected = 0.776 * (2.0 * np.pi) ** 0.1
-    assert s_star(1, 1.0, 0.5) == pytest.approx(expected, rel=1e-12)
-    assert s_star(1, 1.0, 0.5) == pytest.approx(0.9326, abs=5e-4)
+    assert s_star(1, 1.0, 0.0) == pytest.approx(expected, rel=1e-12)
+    assert s_star(1, 1.0, 0.0) == pytest.approx(0.9326, abs=5e-4)
 
 
 def test_s_star_recomputed_inline():
     n, sigma, tau = 250, 1.7, 0.3
     q = norm.ppf(tau)
     expected = 0.776 * n ** (-0.2) * sigma * (norm.pdf(q) * (q * q - 1) ** 2) ** (-0.2)
-    assert s_star(n, sigma, tau) == pytest.approx(expected, rel=1e-13)
+    assert s_star(n, sigma, q) == pytest.approx(expected, rel=1e-13)
 
 
 def test_s_star_scaling():
-    base = s_star(100, 1.0, 0.3)
-    assert s_star(100, 2.0, 0.3) == pytest.approx(2 * base, rel=1e-12)
+    q = norm.ppf(0.3)
+    base = s_star(100, 1.0, q)
+    assert s_star(100, 2.0, q) == pytest.approx(2 * base, rel=1e-12)
     # n -> 32 n divides by exactly 2 under the -1/5 exponent
-    assert s_star(3200, 1.0, 0.3) == pytest.approx(base / 2, rel=1e-12)
+    assert s_star(3200, 1.0, q) == pytest.approx(base / 2, rel=1e-12)
 
 
 def test_s_star_degenerate_at_unit_quantiles():
     # (q^2 - 1)^2 vanishes where the reference curvature changes sign
-    assert s_star(100, 1.0, norm.cdf(1.0)) == np.inf
-    assert s_star(100, 1.0, norm.cdf(-1.0)) == np.inf
+    assert s_star(100, 1.0, 1.0) == np.inf
+    assert s_star(100, 1.0, -1.0) == np.inf
 
 
 def test_b_star_recomputed_inline():
@@ -194,18 +195,19 @@ def test_b_star_recomputed_inline():
     q = norm.ppf(tau)
     den = norm.pdf(q) * q * q * (3 - q * q) ** 2
     expected = n ** (-1 / 7) * sigma * (0.423 / den) ** (1 / 7)
-    assert b_star(n, sigma, tau) == pytest.approx(expected, rel=1e-13)
+    assert b_star(n, sigma, q) == pytest.approx(expected, rel=1e-13)
 
 
 def test_b_star_degenerate_points():
-    assert b_star(100, 1.0, 0.5) == np.inf  # q = 0
-    assert b_star(100, 1.0, norm.cdf(np.sqrt(3.0))) == np.inf  # 3 - q^2 = 0
-    assert b_star(100, 1.0, 1e-60) == np.inf  # phi(q) underflows the guard
+    assert b_star(100, 1.0, 0.0) == np.inf  # the median
+    assert b_star(100, 1.0, np.sqrt(3.0)) == np.inf  # 3 - q^2 = 0
+    assert b_star(100, 1.0, norm.ppf(1e-60)) == np.inf  # phi(q) underflows the guard
 
 
 def test_b_star_scaling():
-    base = b_star(100, 1.0, 0.25)
-    assert b_star(100, 3.0, 0.25) == pytest.approx(3 * base, rel=1e-12)
+    q = norm.ppf(0.25)
+    base = b_star(100, 1.0, q)
+    assert b_star(100, 3.0, q) == pytest.approx(3 * base, rel=1e-12)
 
 
 # ------------------------------------------------------- kernel estimates
@@ -322,6 +324,41 @@ def test_gaussian_reference_recomputed_inline():
     q = norm.ppf(0.25)
     expected = prob.n ** (-1 / 3) * sigma * (3 * prob.p / (q * q * norm.pdf(q))) ** (1 / 3)
     assert rep.candidates.h_gaussian_ref == pytest.approx(expected, rel=1e-12)
+
+
+_CANDIDATE_PROBLEM = make_problem(n=40)
+
+
+@settings(max_examples=300, deadline=None)
+@example(tau=0.75, log10_scale=-78.0, shift=0.0, shape="normal", seed=0)  # f'(0)^2 overflows
+@given(
+    tau=st.floats(1e-300, 1.0 - 1e-16),
+    log10_scale=st.floats(-150.0, 150.0),
+    shift=st.floats(-40.0, 40.0),
+    shape=st.sampled_from(["normal", "exponential", "atoms"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_candidates_are_never_nan_at_any_level_or_scale(tau, log10_scale, shift, shape, seed):
+    # each candidate is a product of finite positive factors: finite or +inf,
+    # never NaN, for every tau in (0, 1) and residuals of any scale.  The
+    # nonparametric one is 0 where f(0) underflows or f'(0)^2 overflows.
+    rng = np.random.default_rng(seed)
+    n = _CANDIDATE_PROBLEM.n
+    if shape == "normal":
+        base = rng.standard_normal(n)
+    elif shape == "exponential":
+        base = rng.standard_exponential(n)
+    else:
+        base = rng.choice([-1.0, 0.0, 2.0], size=n)
+        base[:2] = (-1.0, 2.0)  # never all equal
+    resid = (base + shift) * 10.0**log10_scale
+    rep = plug_in_bandwidth(_CANDIDATE_PROBLEM.at_quantile(tau), resid)
+    c = rep.candidates
+    assert all(v >= 0 for v in c), c  # false for NaN too
+    assert np.isfinite(c.h_silverman), c
+    finite = [v for v in c if np.isfinite(v)]
+    assert rep.h_requested == min(finite)
+    assert rep.h_max == max(finite)
 
 
 # ------------------------------------------------------------ plug-in fit

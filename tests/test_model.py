@@ -12,7 +12,8 @@ from oracles import unsmoothed_moments
 from scipy.special import ndtri as scipy_ndtri
 
 from ivqr.estimate import fit
-from ivqr.model import EstimationProblem, FitResult, build_problem, convert_quantile, ndtri
+from ivqr.model import (EstimationProblem, FitResult, build_problem, convert_quantile, ndtri,
+                        nonnegative_number, positive_number, probability)
 
 
 def small_problem(n=40, seed=3):
@@ -345,6 +346,52 @@ def test_build_problem_rejects_malformed_blocks(kwargs, message):
     args = {"raw_endog": d, "raw_instr": z, **kwargs}
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build_problem(y, quantile=0.5, **args)
+
+
+def _level_none():
+    y, x, d, z = small_problem()
+    fit(build_problem(y, raw_endog=d, raw_instr=z, quantile=0.5), level=None)
+
+
+def _tau_none():
+    X = np.arange(1.0, 6.0).reshape(-1, 1)
+    EstimationProblem(y=np.ones(5), X=X, Z=X, w=np.ones(5), tau=None)
+
+
+def _quantile_none():
+    y, x, d, z = small_problem()
+    build_problem(y, raw_endog=d, raw_instr=z, quantile=None)
+
+
+@pytest.mark.parametrize("call, message", [
+    (_level_none, "level must be a number, got None"),
+    (_tau_none, "tau must be a number, got None"),
+    (_quantile_none, "quantile must be a number, got None"),
+    (lambda: probability("level", "high"), "level must be a number, got 'high'"),
+    (lambda: probability("level", [0.5, 0.9]), "level must be a number, got [0.5, 0.9]"),
+    (lambda: positive_number("h_used", object), f"h_used must be a number, got {object!r}"),
+    (lambda: nonnegative_number("bandwidth", 1j), "bandwidth must be a number, got 1j"),
+    (lambda: convert_quantile("median"), "quantile must be a number, got 'median'"),
+    (lambda: probability("level", 10**400), "level must be a number, got " + str(10**400)),
+], ids=["fit-level", "problem-tau", "build-quantile", "probability-text", "probability-list",
+        "positive-type", "nonnegative-complex", "quantile-text", "probability-huge-int"])
+def test_validators_reject_non_numbers_with_value_error(call, message):
+    # ValueError naming the argument, as exceptions.py promises for input
+    # problems, never float's TypeError or OverflowError
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_validators_read_numbers_as_float_does():
+    # one float rule: a numeric string reads as its number everywhere, and
+    # numbers keep their range messages
+    assert probability("level", "0.95") == 0.95
+    assert positive_number("h", "2.5") == nonnegative_number("h", " 2.5 ") == 2.5
+    assert convert_quantile("50") == 0.5
+    with pytest.raises(ValueError, match=r"^level must lie strictly between 0 and 1, got 1\.5$"):
+        probability("level", 1.5)
+    with pytest.raises(ValueError, match=r"^h must be a finite positive number, got 0$"):
+        positive_number("h", 0)
 
 
 @pytest.mark.parametrize("tau", [0.0, 1.0, -0.2, 1.5])
