@@ -207,7 +207,7 @@ def plug_in_bandwidth(prob: EstimationProblem, resid, *, _sigma=None) -> Bandwid
     if np.isfinite(s) and np.isfinite(b):
         f0 = kde_f0(resid, s)
         fp0 = kde_fprime0(resid, b)
-        if abs(fp0) >= _DEGENERATE_TOL:
+        if abs(fp0) * sigma * sigma >= _DEGENERATE_TOL:  # scale-free: f'(0) goes as 1/sigma^2
             # numpy's ** gives +inf (h_np 0) where float's raises OverflowError, in the same bits
             ratio = float(_VAR_BIAS_RATIO * d * f0 / np.float64(fp0) ** 2)
             h_np = n ** (-1.0 / 3.0) * ratio ** (1.0 / 3.0)

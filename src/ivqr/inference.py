@@ -109,13 +109,11 @@ def bayesian_bootstrap(
     the base weights by the normalized draws (the per-replication weights
     keep the same total), and re-solves the smoothed equations at the same
     bandwidth, warm-started from the point estimate.  A replication whose
-    warm solve fails falls back to the full homotopy; it counts as failed
-    if that raises or escalates away from ``h_used``, since its root then
-    solves another equation.  More than 5 percent failures abort with a
-    :class:`ConvergenceError` that counts the escalated draws, with the
-    largest bandwidth one reached, apart from the draws that raised.  The
-    covariance is the sample covariance of the kept estimates (denominator
-    kept - 1), taken in replication order.
+    warm solve fails falls back to the full homotopy.  Its root is kept at
+    whatever bandwidth the solve reports, as the point estimate's is; more
+    than 5 percent of solves that raise abort with a
+    :class:`ConvergenceError`.  The covariance is the sample covariance of
+    the kept estimates (denominator kept - 1), in replication order.
 
     Only the weights change between replications, so the residuals
     y - X beta_hat and their window |v| < ``h_used`` (its rows and their
@@ -154,8 +152,8 @@ def bayesian_bootstrap(
     stop = threading.Event()
 
     def replicate(r):
-        """(beta, bandwidth) of replication ``r``'s solve, or None if it
-        raised or another replication raised."""
+        """Replication ``r``'s beta, or None if its solve raised or another
+        replication raised."""
         if stop.is_set():
             return None
         ws, w_r = spare.get()
@@ -165,7 +163,7 @@ def bayesian_bootstrap(
             w_r /= w_r.mean()
             w_r *= prob.w
             sol = solve_see(prob.reweighted(w_r), zhat, h_used, beta_init=ws)
-            return sol.beta, sol.h_used
+            return sol.beta
         except (ConvergenceError, SingularMatrixError):
             return None
         except BaseException:
@@ -177,16 +175,11 @@ def bayesian_bootstrap(
 
     betas = np.empty((reps, prob.p))
     ok = np.zeros(reps, dtype=bool)
-    raised, reached = 0, []  # draws that raised; bandwidths of those that escalated
     pool = ThreadPoolExecutor(workers) if workers > 1 else None
     try:
         for r, solved in enumerate((pool.map if pool else map)(replicate, range(reps))):
-            if solved is None:
-                raised += 1
-            elif solved[1] != h_used:
-                reached.append(solved[1])
-            else:
-                betas[r], ok[r] = solved[0], True
+            if solved is not None:
+                betas[r], ok[r] = solved, True
             if progress is not None:
                 progress(r)
     finally:
@@ -194,10 +187,7 @@ def bayesian_bootstrap(
             pool.shutdown(cancel_futures=True)
     n_fail = int(reps - ok.sum())
     if n_fail > 0.05 * reps:
-        where = (f" above h_used = {h_used:.6g}, to at most {max(reached):.6g} (usually discrete "
-                 "regressors or instruments at outer quantiles)," if reached else "")
-        raise ConvergenceError(f"{n_fail} of {reps} bootstrap replications failed: "
-                               f"{len(reached)} escalated{where} and {raised} raised")
+        raise ConvergenceError(f"{n_fail} of {reps} bootstrap replications raised")
     good = betas[ok]
     cov = np.cov(good, rowvar=False, ddof=1)
     cov = np.atleast_2d(cov)

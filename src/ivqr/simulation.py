@@ -10,7 +10,7 @@ import numpy as np
 from ivqr.estimate import fit
 from ivqr.exceptions import EstimationError
 from ivqr.model import (EstimationProblem, FitResult, build_problem, ndtri, nonnegative_number,
-                        probability, seed_number, whole_number)
+                        probability, real_number, seed_number, whole_number)
 from ivqr.projection import _TauFree
 
 LOCATION_SHIFT = "location-shift"
@@ -62,21 +62,23 @@ def generate(spec: DgpSpec, tau: float = 0.5):
     n = whole_number("n", spec.n)
     if n < 2:
         raise ValueError("need n >= 2")
-    if not np.isfinite(spec.pi):
-        raise ValueError(f"pi must be a finite number, got {spec.pi}")
+    pi = real_number("pi", spec.pi)
+    if not np.isfinite(pi):
+        raise ValueError(f"pi must be a finite number, got {pi}")
     if spec.kind == LOCATION_SHIFT:
-        if not -1.0 < spec.rho < 1.0:
-            raise ValueError(f"rho must lie in (-1, 1), got {spec.rho}")
+        rho = real_number("rho", spec.rho)
+        if not -1.0 < rho < 1.0:
+            raise ValueError(f"rho must lie in (-1, 1), got {rho}")
         k = whole_number("n_instruments", spec.n_instruments)
         if k < 1:
             raise ValueError("need at least one instrument")
         z = rng.standard_normal((n, k))
         e = rng.standard_normal(n)
         v = rng.standard_normal(n)  # eta, scaled in place
-        v *= np.sqrt(1.0 - spec.rho**2)
-        v += spec.rho * e
+        v *= np.sqrt(1.0 - rho**2)
+        v += rho * e
         x = z @ np.ones(k)
-        x *= spec.pi
+        x *= pi
         x /= np.sqrt(k)
         x += e
         y = np.add(x, 1.0, out=e)  # e is spent: y takes its buffer
@@ -93,7 +95,7 @@ def generate(spec: DgpSpec, tau: float = 0.5):
         u = rng.uniform(size=n)
         z = rng.standard_normal(n)
         e = rng.standard_normal(n)
-        x = spec.pi * z
+        x = pi * z
         e *= 0.5
         x += e
         np.exp(x, out=x)

@@ -136,20 +136,19 @@ def bootstrap_oracle(prob, zhat, h_used, beta_hat, reps: int, seed: int):
     (seed, r), builds a fresh weight vector and a reweighted problem, and
     calls ``solve_see`` from ``beta_hat`` with nothing shared between
     replications.  Returns (cov, reps_used) under the bootstrap's rules:
-    a draw that raises or escalates away from ``h_used`` is dropped, and
-    more than 5 percent dropped raises ``ConvergenceError``.
+    a draw is kept at whatever bandwidth its solve reports, a draw that
+    raises is dropped, and more than 5 percent dropped raises
+    ``ConvergenceError``.
     """
     betas = []
     for r in range(reps):
         xi = np.random.default_rng([seed, r]).standard_exponential(prob.n)
         w_r = prob.w * (xi / xi.mean())
         try:
-            sol = solve_see(prob.reweighted(w_r), zhat, h_used, beta_init=beta_hat)
+            betas.append(solve_see(prob.reweighted(w_r), zhat, h_used, beta_init=beta_hat).beta)
         except (ConvergenceError, SingularMatrixError):
             continue
-        if sol.h_used == h_used:
-            betas.append(sol.beta)
     if reps - len(betas) > 0.05 * reps:
-        raise ConvergenceError(f"{reps - len(betas)} of {reps} bootstrap replications failed")
+        raise ConvergenceError(f"{reps - len(betas)} of {reps} bootstrap replications raised")
     cov = np.atleast_2d(np.cov(np.array(betas), rowvar=False, ddof=1))
     return 0.5 * (cov + cov.T), len(betas)

@@ -46,6 +46,18 @@ def iv_problem(n, seed=0, tau=0.5):
     return build_problem(y, raw_endog=d, raw_instr=z, quantile=tau)
 
 
+def binary_problem(n, tau, seed):
+    """ROADMAP item 11's binary design: binary instrument z, binary treatment
+    d = 1{0.8 z - 0.4 + e > 0}, y = 1 + d + v with v = 0.5 e + sqrt(0.75) eta,
+    drawn from default_rng([77, seed]); the truth is (1, 1 + Phi^{-1}(tau))."""
+    rng = np.random.default_rng([77, seed])
+    z = (rng.uniform(size=n) < 0.5).astype(float)
+    e = rng.standard_normal(n)
+    v = 0.5 * e + np.sqrt(0.75) * rng.standard_normal(n)
+    d = (0.8 * z - 0.4 + e > 0).astype(float)
+    return build_problem(1.0 + d + v, raw_endog=d, raw_instr=z, quantile=tau)
+
+
 def point_estimate(prob, h=None):
     zhat = project_instruments(prob)
     if h is None:
@@ -571,54 +583,64 @@ def test_bootstrap_aborts_when_replications_fail(monkeypatch):
         raise ConvergenceError("no")
 
     monkeypatch.setattr(inference_mod, "solve_see", always_raise)
-    with pytest.raises(ConvergenceError, match="replications failed: 0 escalated and 10 raised"):
+    with pytest.raises(ConvergenceError, match="^10 of 10 bootstrap replications raised$"):
         bayesian_bootstrap(prob, zhat, 0.5, beta, reps=10, seed=3)
 
 
-def escalate_draws(monkeypatch, prob, reps, seed, chosen):
-    """Make the bootstrap's solves for the draws in ``chosen`` come back
-    escalated, at 1.5 times the requested bandwidth with a shifted root;
-    returns the dict the other draws' betas go into, by draw index.  A draw
-    is told by its weights, so the draws may run in any order."""
+def escalate_draws(monkeypatch, prob, reps, seed, escalated, raised=()):
+    """Make the bootstrap's solves for the draws in ``escalated`` come back
+    escalated, at 1.5 times the requested bandwidth with a shifted root, and
+    those in ``raised`` raise; returns the dict every returned beta goes
+    into, by draw index.  A draw is told by its weights, so the draws may
+    run in any order."""
     index = {draw_weights(prob, seed, r).tobytes(): r for r in range(reps)}
-    real = inference_mod.solve_see
-    kept = {}
+    returned = {}
 
     def solve(p, z, h, beta_init=None):
-        sol = real(p, z, h, beta_init=beta_init)
         r = index[p.w.tobytes()]
-        if r in chosen:
+        if r in raised:
+            raise ConvergenceError("no")
+        sol = solve_see(p, z, h, beta_init=beta_init)
+        if r in escalated:
             diag = replace(sol.diag, bandwidth_escalations=1)
-            return SeeSolution(beta=sol.beta + 1.0, h_used=1.5 * h, diag=diag)
-        kept[r] = sol.beta
+            sol = SeeSolution(beta=sol.beta + 1.0, h_used=1.5 * h, diag=diag)
+        returned[r] = sol.beta
         return sol
 
     monkeypatch.setattr(inference_mod, "solve_see", solve)
-    return kept
+    return returned
 
 
-def test_bootstrap_drops_draws_solved_at_another_bandwidth(monkeypatch):
+def test_bootstrap_keeps_draws_solved_at_another_bandwidth(monkeypatch):
+    # an escalated draw is pooled like any other, as the point estimate's
+    # escalated root is kept
     prob = iv_problem(120, seed=14)
     zhat = project_instruments(prob)
     beta = solve_see(prob, zhat, 0.5).beta
     for workers in (1, 2):
         force_workers(monkeypatch, workers)
-        kept = escalate_draws(monkeypatch, prob, 40, 6, {17})
+        returned = escalate_draws(monkeypatch, prob, 40, 6, {17})
         est = bayesian_bootstrap(prob, zhat, 0.5, beta, reps=40, seed=6)
-        assert est.reps_used == 39 and sorted(kept) == sorted(set(range(40)) - {17})
-        want = np.cov(np.array([kept[r] for r in sorted(kept)]), rowvar=False, ddof=1)
+        assert est.reps_used == 40 and sorted(returned) == list(range(40))
+        want = np.cov(np.array([returned[r] for r in range(40)]), rowvar=False, ddof=1)
         np.testing.assert_array_equal(est.cov, 0.5 * (want + want.T))
+        without = np.cov(np.array([returned[r] for r in range(40) if r != 17]), rowvar=False)
+        assert not np.allclose(est.cov, without)
 
 
-def test_bootstrap_counts_escalated_draws_against_failure_budget(monkeypatch):
+def test_bootstrap_counts_only_raised_draws_against_failure_budget(monkeypatch):
     prob = iv_problem(100, seed=15)
     zhat = project_instruments(prob)
     beta = solve_see(prob, zhat, 0.5).beta
-    escalate_draws(monkeypatch, prob, 10, 3, {2, 5, 9})
-    with pytest.raises(ConvergenceError, match="3 of 10 bootstrap replications failed: 3 escalated "
-                       r"above h_used = 0\.5, to at most 0\.75 \(usually discrete regressors "
-                       r"or instruments at outer quantiles\), and 0 raised"):
-        bayesian_bootstrap(prob, zhat, 0.5, beta, reps=10, seed=3)
+    for workers in (1, 2):
+        force_workers(monkeypatch, workers)
+        # five escalated draws and one that raised: 1 of 20 is within the 5% budget
+        escalate_draws(monkeypatch, prob, 20, 3, {2, 5, 9, 11, 19}, raised={7})
+        est = bayesian_bootstrap(prob, zhat, 0.5, beta, reps=20, seed=3)
+        assert est.reps_used == 19
+        escalate_draws(monkeypatch, prob, 20, 3, {2, 5, 9, 11, 19}, raised={7, 8})
+        with pytest.raises(ConvergenceError, match="^2 of 20 bootstrap replications raised$"):
+            bayesian_bootstrap(prob, zhat, 0.5, beta, reps=20, seed=3)
 
 
 def test_bootstrap_cov_shape_single_parameter():
@@ -635,12 +657,13 @@ def test_bootstrap_cov_shape_single_parameter():
 
 
 def test_fit_result_keeps_reps_used(monkeypatch):
+    # escalated draws are kept and counted; the one that raised is not
     prob = iv_problem(120, seed=14)
     assert fit(prob).reps_used == 0
-    kept = escalate_draws(monkeypatch, prob, 40, 6, {3, 17})
+    returned = escalate_draws(monkeypatch, prob, 40, 6, {3, 17}, raised={25})
     res = fit(prob, reps=40, seed=6)
     assert res.vcov_kind == "bootstrap"
-    assert res.reps_used == len(kept) == 38
+    assert res.reps_used == len(returned) == 39
 
 
 # ----------------------------------------- bootstrap against its oracle
@@ -648,14 +671,17 @@ def test_fit_result_keeps_reps_used(monkeypatch):
 
 def assert_bootstrap_matches_oracle(prob, reps, seed):
     """``bayesian_bootstrap`` equals the per-replication oracle under ``==``,
-    and calls ``ivqr.inference.solve_see`` once per draw with a warm start."""
+    and calls ``ivqr.inference.solve_see`` once per draw with a warm start.
+    Returns the estimate and how many draws escalated."""
     beta, zhat, h = point_estimate(prob)
     real = inference_mod.solve_see
-    starts = []
+    starts, escalated = [], []
 
     def spy(p, z, h_, beta_init=None):
         starts.append(beta_init is not None)
-        return real(p, z, h_, beta_init=beta_init)
+        sol = real(p, z, h_, beta_init=beta_init)
+        escalated.append(sol.h_used != h_)
+        return sol
 
     inference_mod.solve_see = spy
     try:
@@ -666,13 +692,13 @@ def assert_bootstrap_matches_oracle(prob, reps, seed):
     cov, reps_used = bootstrap_oracle(prob, zhat, h, beta, reps, seed)
     assert est.reps_used == reps_used
     assert np.array_equal(est.cov, cov)
-    return est
+    return est, sum(escalated)
 
 
 def test_bootstrap_matches_oracle_unweighted_exactly_identified(monkeypatch):
     for workers in (1, 2):
         force_workers(monkeypatch, workers)
-        est = assert_bootstrap_matches_oracle(iv_problem(300, seed=31), reps=30, seed=7)
+        est, _ = assert_bootstrap_matches_oracle(iv_problem(300, seed=31), reps=30, seed=7)
         assert est.reps_used == 30
 
 
@@ -710,10 +736,42 @@ def test_bootstrap_matches_oracle_when_a_warm_solve_falls_back(monkeypatch):
     for workers in (1, 2):
         force_workers(monkeypatch, workers)
         failed.clear()
-        est = assert_bootstrap_matches_oracle(prob, reps=20, seed=9)
+        est, _ = assert_bootstrap_matches_oracle(prob, reps=20, seed=9)
         # the bootstrap's warm stage brought its shared start, the oracle's did not
         assert failed == [1, 0]
         assert est.reps_used == 20
+
+
+def test_bootstrap_matches_oracle_where_draws_escalate(monkeypatch):
+    # on the binary design at tau = 0.05, 4 of 20 draws escalate above
+    # h_used; the bootstrap keeps them, as the oracle does
+    prob = binary_problem(2000, 0.05, 0)
+    for workers in (1, 2):
+        force_workers(monkeypatch, workers)
+        est, escalated = assert_bootstrap_matches_oracle(prob, reps=20, seed=0)
+        assert escalated == 4 and est.reps_used == 20
+
+
+@pytest.mark.parametrize("tau, seeds", [(0.05, (0, 3, 4)), (0.95, (1, 2, 3))])
+def test_bootstrap_returns_on_binary_design_at_outer_quantiles(monkeypatch, tau, seeds):
+    # a binary treatment with a binary instrument: some draws keep only a few
+    # rows of a (d, z) cell inside the window and escalate.  Each fit returns
+    # with every draw kept, where dropping the escalated ones used to exhaust
+    # the 5% budget and raise
+    real = inference_mod.solve_see
+    escalated = []
+
+    def spy(p, z, h, beta_init=None):
+        sol = real(p, z, h, beta_init=beta_init)
+        escalated.append(sol.h_used != h)
+        return sol
+
+    monkeypatch.setattr(inference_mod, "solve_see", spy)
+    for s in seeds:
+        escalated.clear()
+        res = fit(binary_problem(2000, tau, s), reps=100, seed=s)
+        assert sum(escalated) > 5 and res.reps_used == 100
+        assert np.all(np.isfinite(res.se)) and np.all(res.se > 0)
 
 
 def test_fit_holds_three_vectors_beyond_the_problem():

@@ -15,6 +15,8 @@ The other relations hold to rounding, on a design with one endogenous and
 one exogenous regressor x2 and one or three instruments:
 
 - affine y -> 3y + Xc: beta -> 3 beta + c, h -> 3h, cov -> 9 cov
+- units y -> 1e6 y: beta, h and se scale by 1e6, also on a reference-design
+  case where the nonparametric bandwidth candidate binds
 - x2 -> 2 x2 + 1, that is X -> XA: beta -> A^{-1} beta, cov -> A^{-1} cov A^{-T}
 - instruments Z -> ZB + 0.3 x2 with B nonsingular: the instrument space is
   the same, so is the fit
@@ -103,6 +105,10 @@ def affine(cols, seed):
     return {**cols, "y": 3.0 * cols["y"] + X @ c}, 3.0 * np.eye(3), c, 3.0
 
 
+def units(cols, seed):
+    return {**cols, "y": 1e6 * cols["y"]}, 1e6 * np.eye(3), 0.0, 1e6
+
+
 def exogenous(cols, seed):
     return {**cols, "x2": 2.0 * cols["x2"] + 1.0}, np.linalg.inv(REPARAM), 0.0, 1.0
 
@@ -128,6 +134,7 @@ def weights(cols, seed):
 # none looser than 100 times the worst case measured at n = 2 000 (ROADMAP)
 RELATIONS = {
     affine: (9e-11, 3e-12, 5e-12),
+    units: (9e-11, 3e-12, 5e-12),
     exogenous: (1.1e-10, 3e-12, 5e-12),
     rotation: (1e-9, 2e-13, 1e-9),
     permutation: (1.1e-10, 3e-12, 5e-12),
@@ -159,7 +166,12 @@ def test_fit_is_equivariant(relation, case):
     cols = columns(seed, k, weighted)
     moved, M, c, h_scale = relation(cols, seed)
     got, base = fit(problem(moved, tau), reps=reps), fit(problem(cols, tau), reps=reps)
-    beta_tol, h_rtol, cov_rtol = RELATIONS[relation]
+    assert_moved(got, base, M, c, h_scale, RELATIONS[relation], reps)
+
+
+def assert_moved(got, base, M, c, h_scale, tolerances, reps):
+    """``got`` is ``base`` under beta -> M beta + c, cov -> M cov M', h -> h_scale h."""
+    beta_tol, h_rtol, cov_rtol = tolerances
     cov = M @ base.cov @ M.T
     se = np.sqrt(np.diag(cov))
     assert got.vcov_kind == base.vcov_kind and got.reps_used == base.reps_used
@@ -167,3 +179,15 @@ def test_fit_is_equivariant(relation, case):
     assert abs(got.bandwidth.h_used - h_scale * base.bandwidth.h_used) <= h_rtol * got.bandwidth.h_used
     cov_rtol = BOOT_COV_RTOL if reps else cov_rtol
     assert np.all(np.abs(got.cov - cov) <= cov_rtol * np.outer(se, se))
+
+
+def test_units_of_y_where_the_nonparametric_candidate_binds():
+    # on the n = 1 000 cases Silverman's candidate sets the bandwidth; here
+    # the nonparametric one does, and whether it is a candidate at all must
+    # not depend on the units of y, though its f'(0) estimate scales as
+    # 1 / scale^2
+    prob, _ = generate(reference_dgp(n=2000, seed=19), 0.1)
+    base = fit(prob)
+    assert base.bandwidth.h_requested == base.bandwidth.candidates.h_nonparametric
+    got = fit(replace(prob, y=1e6 * prob.y))
+    assert_moved(got, base, 1e6 * np.eye(2), 0.0, 1e6, RELATIONS[units], 0)

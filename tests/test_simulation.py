@@ -150,11 +150,25 @@ def test_moment_restriction_near_zero_at_truth():
         (DgpSpec(kind=RANDOM_COEFFICIENT, n_instruments=3), "n_instruments must be 1, got 3"),
         (DgpSpec(pi=np.nan), "pi must be a finite number, got nan"),
         (DgpSpec(pi=np.inf), "pi must be a finite number, got inf"),
+        (DgpSpec(pi=None), "pi must be a number, got None"),
+        (DgpSpec(kind=RANDOM_COEFFICIENT, pi=None), "pi must be a number, got None"),
+        (DgpSpec(rho=None), "rho must be a number, got None"),
+        (DgpSpec(rho="half"), "rho must be a number, got 'half'"),
     ],
 )
 def test_generate_rejects_bad_specs(bad_spec, message):
     with pytest.raises(ValueError, match=message):
         generate(bad_spec, tau=0.5)
+
+
+def test_generate_reads_numeric_strings_as_numbers():
+    # pi and rho are read as float reads them, as every other number check does
+    spec = reference_dgp(n=200, seed=4)
+    want = generate(spec)[0]
+    for field, text in (("rho", "0.5"), ("pi", "1")):
+        got = generate(replace(spec, **{field: text}))[0]
+        np.testing.assert_array_equal(got.y, want.y)
+        np.testing.assert_array_equal(got.X, want.X)
 
 
 @pytest.mark.parametrize("seed, same_as", [(2.0, 2), (np.int64(3), 3), (-1, None)],
