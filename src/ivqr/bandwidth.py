@@ -2,8 +2,9 @@
 
 Three candidate bandwidths are computed from the current residuals and the
 smallest is requested from solver: a nonparametric plug-in driven by kernel
-estimates of the residual density and its derivative at zero, a Gaussian
-reference version of the same formula, and the Silverman rule of thumb.
+estimates of the residual density and its derivative at the residuals'
+tau-quantile, a Gaussian reference version of the same formula, and the
+Silverman rule of thumb.
 Candidates that are undefined at the requested quantile (for example the
 Gaussian reference at the median) are set to +inf so the minimum ignores
 them; the Silverman candidate is always finite, so a request always exists.
@@ -17,7 +18,6 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from ivqr.exceptions import ConvergenceError
 from ivqr.model import EstimationProblem, ndtri
 from ivqr.projection import _TauFree, iv_estimate
 from ivqr.solver import SeeSolution, residuals, solve_see
@@ -56,6 +56,7 @@ class BandwidthReport:
     h_max: Optional[float] = None
     candidates: Optional[BandwidthCandidates] = None
     sigma_hat: Optional[float] = None
+    q_hat: Optional[float] = None
     f0_hat: Optional[float] = None
     fprime0_hat: Optional[float] = None
 
@@ -90,26 +91,44 @@ def _lerp(a: float, b: float, t: float) -> float:
     return b - d * (1.0 - t) if t >= 0.5 else a + d * t
 
 
-def quartiles(x) -> np.ndarray:
-    """``numpy.quantile(x, [0.25, 0.75])``, equal to it under ``==``.
+def quartiles(x, *levels) -> np.ndarray:
+    """``numpy.quantile(x, [0.25, 0.75, *levels])`` from one sort of a copy.
 
-    Each quartile at position p (n - 1) interpolates the order statistics
-    of ranks k = floor(p (n - 1)) and k + 1 by :func:`_lerp`, numpy's own
-    arithmetic.  One sort of a copy of ``x`` finds all four.  A NaN sorts
-    last, so a NaN anywhere gives [nan, nan], as numpy does.  ``x`` is
-    never written.
+    Level p interpolates the order statistics of ranks k = floor(p (n - 1))
+    and k + 1 by numpy's own :func:`_lerp`, at the weight p (n - 1) - k
+    rounded to a multiple of 1/1024.  So the quartiles, and every level
+    whose weight is on that grid, equal numpy's under ``==``.  The grid
+    makes reflection exact: the (1 - p)-quantile of -x is minus the
+    p-quantile of x, though the doubles p and 1 - p are not exact
+    complements, which moves numpy's weights.  A NaN sorts last, so a NaN
+    anywhere gives NaNs, as numpy does.  ``x`` is never written.
     """
     s = np.sort(np.asarray(x, dtype=float), axis=None)
     n = s.shape[0]
+    ps = (0.25, 0.75, *levels)
     if math.isnan(s.item(-1)):
-        return np.full(2, np.nan)
-    out = np.empty(2)
-    for j, p in enumerate((0.25, 0.75)):
+        return np.full(len(ps), np.nan)
+    out = np.empty(len(ps))
+    for j, p in enumerate(ps):
         pos = p * (n - 1)
         k = int(pos)
         # for n = 1 both neighbours are row 0
-        out[j] = _lerp(s.item(k), s.item(min(k + 1, n - 1)), pos - k)
+        out[j] = _lerp(s.item(k), s.item(min(k + 1, n - 1)), round((pos - k) * 1024) / 1024)
     return out
+
+
+def _scale_and_quantile(resid, tau: float) -> tuple[float, float]:
+    """:func:`robust_sigma` of ``resid`` and its ``tau``-quantile (see
+    :func:`quartiles`): the standard deviation first, then one sort."""
+    resid = np.asarray(resid, dtype=float).ravel()
+    if resid.shape[0] < 2:
+        raise ValueError("need at least two residuals to estimate a scale")
+    sd = float(np.std(resid, ddof=1))
+    if sd == 0.0:
+        raise ValueError("residuals are all identical; scale is degenerate")
+    q25, q75, q = quartiles(resid, tau)
+    iqr = float(q75 - q25)
+    return (min(sd, iqr / 1.349) if iqr > 0.0 else sd), float(q)
 
 
 def robust_sigma(resid) -> float:
@@ -121,17 +140,7 @@ def robust_sigma(resid) -> float:
     interquartile range falls back to the standard deviation; fully
     degenerate residuals raise.
     """
-    resid = np.asarray(resid, dtype=float).ravel()
-    if resid.shape[0] < 2:
-        raise ValueError("need at least two residuals to estimate a scale")
-    sd = float(np.std(resid, ddof=1))
-    if sd == 0.0:
-        raise ValueError("residuals are all identical; scale is degenerate")
-    q25, q75 = quartiles(resid)
-    iqr = float(q75 - q25)
-    if iqr > 0.0:
-        return min(sd, iqr / 1.349)
-    return sd
+    return _scale_and_quantile(resid, 0.5)[0]
 
 
 def s_star(n: int, sigma: float, q: float) -> float:
@@ -186,31 +195,37 @@ def kde_fprime0(resid, b: float) -> float:
     return float(np.sum(k) / (n * b * b))
 
 
-def plug_in_bandwidth(prob: EstimationProblem, resid, *, _sigma=None) -> BandwidthReport:
+def plug_in_bandwidth(prob: EstimationProblem, resid, *, _overwrite=False) -> BandwidthReport:
     """Compute the three candidate bandwidths from the given residuals.
 
     Returns a report with ``h_requested`` set to the smallest finite
     candidate and ``h_max`` to the largest; ``h_used`` is NaN until a solve
     fills it in.  Taking the minimum biases mistakes toward undersmoothing,
-    which is the safe direction for the estimating equations.  ``_sigma``,
-    when given, is ``robust_sigma(resid)``, computed earlier by the caller.
+    which is the safe direction for the estimating equations.
+
+    The kernel estimates run on (resid - q_hat) / sigma_hat: centred at the
+    residuals' tau-quantile ``q_hat``, where Kaplan & Sun's rule reads the
+    density and its derivative, and in units of their robust scale, so no
+    intermediate overflows or underflows with the units of y.  With
+    ``_overwrite`` the float array ``resid`` is standardised in place.
     """
-    n = prob.n
-    d = prob.p
-    sigma = robust_sigma(resid) if _sigma is None else _sigma
+    n, d = prob.n, prob.p
+    sigma, q_hat = _scale_and_quantile(resid, prob.tau)
+    z = np.asarray(resid, dtype=float).ravel() if _overwrite else np.array(resid, dtype=float)
+    z -= q_hat
+    z /= sigma
     q = ndtri(prob.tau)
 
-    s = s_star(n, sigma, q)
-    b = b_star(n, sigma, q)
+    s = s_star(n, 1.0, q)
+    b = b_star(n, 1.0, q)
     f0 = fp0 = None
     h_np = float("inf")
     if np.isfinite(s) and np.isfinite(b):
-        f0 = kde_f0(resid, s)
-        fp0 = kde_fprime0(resid, b)
-        if abs(fp0) * sigma * sigma >= _DEGENERATE_TOL:  # scale-free: f'(0) goes as 1/sigma^2
-            # numpy's ** gives +inf (h_np 0) where float's raises OverflowError, in the same bits
-            ratio = float(_VAR_BIAS_RATIO * d * f0 / np.float64(fp0) ** 2)
-            h_np = n ** (-1.0 / 3.0) * ratio ** (1.0 / 3.0)
+        f0 = kde_f0(z, s)
+        fp0 = kde_fprime0(z, b)
+        if abs(fp0) >= _DEGENERATE_TOL:
+            h_np = sigma * (n ** (-1.0 / 3.0) * (_VAR_BIAS_RATIO * d * f0 / fp0**2) ** (1.0 / 3.0))
+        f0, fp0 = f0 / sigma, fp0 / sigma / sigma  # in the units of y
 
     if q * q < _DEGENERATE_TOL:
         h_gauss = float("inf")
@@ -228,6 +243,7 @@ def plug_in_bandwidth(prob: EstimationProblem, resid, *, _sigma=None) -> Bandwid
         h_max=max(finite),
         candidates=cands,
         sigma_hat=sigma,
+        q_hat=q_hat,
         f0_hat=f0,
         fprime0_hat=fp0,
     )
@@ -239,34 +255,19 @@ def fit_with_plugin(
     beta_init=None,
     _shared=None,
 ) -> tuple[SeeSolution, BandwidthReport]:
-    """Estimate with the plug-in bandwidth and one refinement pass.
+    """Estimate with the plug-in bandwidth: one plug-in pass from the linear
+    IV start's residuals, then one solve at its request.
 
-    First pass: bandwidth from the linear IV residuals, then solve.  Second
-    pass: recompute the plug-in from the first-pass residuals and re-solve,
-    warm-started.  ``beta_init`` only starts the first solve, so it moves
-    neither bandwidth nor the estimate beyond solver tolerance.  The
-    refinement runs exactly once; manually chosen bandwidths never enter this
-    function.  Returns the second solve and the second pass's report.  The
-    solve's diagnostics cover both solves: the first solve's iterations,
-    homotopy stages and escalations are added to its own, and to those of a
-    ``ConvergenceError`` the second solve raises.
-
-    ``_shared`` is the fit's :class:`~ivqr.projection._TauFree` record: the
-    IV start and the scale of its residuals are taken from it when a fit
-    on the same data has filled it, and stored there otherwise.  The
-    residuals themselves are formed again on each call.
+    ``beta_init`` only starts the solve, so it moves neither the bandwidth
+    nor the estimate beyond solver tolerance.  Manual bandwidths never
+    enter this function.  Returns the solve and the report with ``h_used``
+    filled in.  ``_shared`` is the fit's :class:`~ivqr.projection._TauFree`
+    record: the IV start is read from it when a fit on the same data has
+    filled it, and stored there otherwise.
     """
     shared = _TauFree() if _shared is None else _shared
     if shared.iv_start is None:
         shared.iv_start = iv_estimate(prob, zhat)
-    rep1 = plug_in_bandwidth(prob, residuals(prob, shared.iv_start), _sigma=shared.iv_sigma)
-    shared.iv_sigma = rep1.sigma_hat
-    sol1 = solve_see(prob, zhat, rep1.h_requested, beta_init=beta_init)
-    rep2 = plug_in_bandwidth(prob, residuals(prob, sol1.beta))
-    try:
-        sol2 = solve_see(prob, zhat, rep2.h_requested, beta_init=sol1.beta)
-    except ConvergenceError as exc:
-        exc.diagnostics.absorb(sol1.diag)
-        raise
-    sol2.diag.absorb(sol1.diag)
-    return sol2, replace(rep2, h_used=sol2.h_used)
+    report = plug_in_bandwidth(prob, residuals(prob, shared.iv_start), _overwrite=True)
+    sol = solve_see(prob, zhat, report.h_requested, beta_init=beta_init)
+    return sol, replace(report, h_used=sol.h_used)

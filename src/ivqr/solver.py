@@ -72,13 +72,6 @@ class SolverDiagnostics:
     converged: bool = False
     homotopy_stages: int = 0
 
-    def absorb(self, other: SolverDiagnostics) -> None:
-        """Add ``other``'s iterations, homotopy stages and escalations to
-        these; the final residual and ``converged`` stay this record's own."""
-        self.iterations += other.iterations
-        self.homotopy_stages += other.homotopy_stages
-        self.bandwidth_escalations += other.bandwidth_escalations
-
 
 @dataclass(frozen=True)
 class SeeSolution:
@@ -293,8 +286,9 @@ def solve_see(
 
     When ``beta_init`` is given the solver first tries a direct Newton solve
     at the requested bandwidth from that point (the warm-start path used for
-    refinement and bootstrap replications); only if the direct solve fails
-    does it compute the IV start and fall back to the full homotopy.
+    the levels of a tau grid and bootstrap replications); only if the direct
+    solve fails does it compute the IV start and fall back to the full
+    homotopy.
     ``beta_init`` may also be a :class:`_Workspace` built on a problem that
     ``prob`` reweights: the direct solve then starts from its beta and
     residuals (and its window, when built at the request) and writes into
