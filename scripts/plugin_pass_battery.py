@@ -1,9 +1,13 @@
 """Paired accuracy of two ivqr trees' plug-in fits on the same simulated data.
 
 Draws datasets from six designs, fits every one at each quantile level with
-the package's default pipeline (``fit_levels``: plug-in bandwidth, analytic
-standard errors) once with this tree and once with another one, and compares
-the two sides dataset by dataset:
+the plug-in bandwidth and analytic standard errors, once with this tree and
+once with another one, and compares the two sides dataset by dataset.  With
+``--mode levels`` (the default) one ``fit_levels`` call fits a dataset's
+levels, the median first and each other level warm-started from its
+neighbour; with ``--mode cold`` each level is its own cold ``fit`` of
+``build_problem(..., quantile=tau)``, the default single-level path.  The
+comparison reports:
 
 - the RMSE ratio, this tree over the other, per coefficient, with a
   paired-bootstrap Monte Carlo standard error (MCSE)
@@ -36,6 +40,7 @@ the two sides fit the same bytes.  Example, against a copy of an earlier
 commit made with ``git archive``:
 
     python3 scripts/plugin_pass_battery.py --other ../ivqr-parent --n 2000,8000 --datasets 200
+    python3 scripts/plugin_pass_battery.py --other ../ivqr-parent --mode cold --n 60000
 """
 
 from __future__ import annotations
@@ -112,14 +117,25 @@ def draw(design, n, s):
 def worker(args):
     """Fit every dataset with the ``ivqr`` in ``args.src``; one JSON line per fit."""
     sys.path.insert(0, args.src)
-    from ivqr import build_problem, fit_levels
+    from ivqr import build_problem, fit, fit_levels
+    from ivqr.exceptions import EstimationError
+
+    def cold(y, x, z, tau):
+        try:
+            return fit(build_problem(y, raw_endog=x, raw_instr=z, quantile=tau))
+        except EstimationError:
+            return None
 
     for design in args.designs:
         for n in args.n:
             for s in range(args.datasets):
                 y, x, z = draw(design, n, s)
-                base = build_problem(y, raw_endog=x, raw_instr=z, quantile=0.5)
-                for tau, res in zip(args.taus, fit_levels(base, args.taus)):
+                if args.mode == "levels":
+                    base = build_problem(y, raw_endog=x, raw_instr=z, quantile=0.5)
+                    fits = fit_levels(base, args.taus)
+                else:
+                    fits = [cold(y, x, z, tau) for tau in args.taus]
+                for tau, res in zip(args.taus, fits):
                     row = {"design": design, "n": n, "s": s, "tau": tau}
                     if res is not None:
                         row.update(beta=res.beta.tolist(), se=res.se.tolist(),
@@ -132,7 +148,7 @@ def run_side(root, args):
     cmd = [sys.executable, str(HERE / Path(__file__).name), "--worker", "--src",
            str(Path(root) / "src"), "--designs", ",".join(args.designs),
            "--n", ",".join(map(str, args.n)), "--taus", ",".join(map(repr, args.taus)),
-           "--datasets", str(args.datasets)]
+           "--datasets", str(args.datasets), "--mode", args.mode]
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
     out = subprocess.run(cmd, env=env, capture_output=True, text=True, check=True).stdout
     rows = (json.loads(line) for line in out.splitlines())
@@ -199,6 +215,8 @@ def parse_args(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--other", help="root of the tree to compare against (holds src/)")
     parser.add_argument("--designs", default=",".join(DESIGNS))
+    parser.add_argument("--mode", choices=("levels", "cold"), default="levels",
+                        help="fit_levels per dataset, or one cold fit per level")
     parser.add_argument("--n", default="2000", help="comma-separated sample sizes")
     parser.add_argument("--taus", default="0.05,0.1,0.25,0.5,0.75,0.9,0.95")
     parser.add_argument("--datasets", type=int, default=200, help="datasets per design and n")

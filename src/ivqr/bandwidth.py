@@ -2,9 +2,8 @@
 
 Three candidate bandwidths are computed from the current residuals and the
 smallest is requested from solver: a nonparametric plug-in driven by kernel
-estimates of the residual density and its derivative at the residuals'
-tau-quantile, a Gaussian reference version of the same formula, and the
-Silverman rule of thumb.
+estimates of the residual density and its derivative at zero, a Gaussian
+reference version of the same formula, and the Silverman rule of thumb.
 Candidates that are undefined at the requested quantile (for example the
 Gaussian reference at the median) are set to +inf so the minimum ignores
 them; the Silverman candidate is always finite, so a request always exists.
@@ -18,9 +17,10 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from ivqr.exceptions import ConvergenceError, EstimationError
 from ivqr.model import EstimationProblem, ndtri
 from ivqr.projection import _TauFree, iv_estimate
-from ivqr.solver import SeeSolution, residuals, solve_see
+from ivqr.solver import SeeSolution, residuals, solve_see, subsample
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 
@@ -56,7 +56,6 @@ class BandwidthReport:
     h_max: Optional[float] = None
     candidates: Optional[BandwidthCandidates] = None
     sigma_hat: Optional[float] = None
-    q_hat: Optional[float] = None
     f0_hat: Optional[float] = None
     fprime0_hat: Optional[float] = None
 
@@ -91,44 +90,26 @@ def _lerp(a: float, b: float, t: float) -> float:
     return b - d * (1.0 - t) if t >= 0.5 else a + d * t
 
 
-def quartiles(x, *levels) -> np.ndarray:
-    """``numpy.quantile(x, [0.25, 0.75, *levels])`` from one sort of a copy.
+def quartiles(x) -> np.ndarray:
+    """``numpy.quantile(x, [0.25, 0.75])``, equal to it under ``==``.
 
-    Level p interpolates the order statistics of ranks k = floor(p (n - 1))
-    and k + 1 by numpy's own :func:`_lerp`, at the weight p (n - 1) - k
-    rounded to a multiple of 1/1024.  So the quartiles, and every level
-    whose weight is on that grid, equal numpy's under ``==``.  The grid
-    makes reflection exact: the (1 - p)-quantile of -x is minus the
-    p-quantile of x, though the doubles p and 1 - p are not exact
-    complements, which moves numpy's weights.  A NaN sorts last, so a NaN
-    anywhere gives NaNs, as numpy does.  ``x`` is never written.
+    Each quartile at position p (n - 1) interpolates the order statistics
+    of ranks k = floor(p (n - 1)) and k + 1 by :func:`_lerp`, numpy's own
+    arithmetic.  One sort of a copy of ``x`` finds all four.  A NaN sorts
+    last, so a NaN anywhere gives [nan, nan], as numpy does.  ``x`` is
+    never written.
     """
     s = np.sort(np.asarray(x, dtype=float), axis=None)
     n = s.shape[0]
-    ps = (0.25, 0.75, *levels)
     if math.isnan(s.item(-1)):
-        return np.full(len(ps), np.nan)
-    out = np.empty(len(ps))
-    for j, p in enumerate(ps):
+        return np.full(2, np.nan)
+    out = np.empty(2)
+    for j, p in enumerate((0.25, 0.75)):
         pos = p * (n - 1)
         k = int(pos)
         # for n = 1 both neighbours are row 0
-        out[j] = _lerp(s.item(k), s.item(min(k + 1, n - 1)), round((pos - k) * 1024) / 1024)
+        out[j] = _lerp(s.item(k), s.item(min(k + 1, n - 1)), pos - k)
     return out
-
-
-def _scale_and_quantile(resid, tau: float) -> tuple[float, float]:
-    """:func:`robust_sigma` of ``resid`` and its ``tau``-quantile (see
-    :func:`quartiles`): the standard deviation first, then one sort."""
-    resid = np.asarray(resid, dtype=float).ravel()
-    if resid.shape[0] < 2:
-        raise ValueError("need at least two residuals to estimate a scale")
-    sd = float(np.std(resid, ddof=1))
-    if sd == 0.0:
-        raise ValueError("residuals are all identical; scale is degenerate")
-    q25, q75, q = quartiles(resid, tau)
-    iqr = float(q75 - q25)
-    return (min(sd, iqr / 1.349) if iqr > 0.0 else sd), float(q)
 
 
 def robust_sigma(resid) -> float:
@@ -140,7 +121,17 @@ def robust_sigma(resid) -> float:
     interquartile range falls back to the standard deviation; fully
     degenerate residuals raise.
     """
-    return _scale_and_quantile(resid, 0.5)[0]
+    resid = np.asarray(resid, dtype=float).ravel()
+    if resid.shape[0] < 2:
+        raise ValueError("need at least two residuals to estimate a scale")
+    sd = float(np.std(resid, ddof=1))
+    if sd == 0.0:
+        raise ValueError("residuals are all identical; scale is degenerate")
+    q25, q75 = quartiles(resid)
+    iqr = float(q75 - q25)
+    if iqr > 0.0:
+        return min(sd, iqr / 1.349)
+    return sd
 
 
 def s_star(n: int, sigma: float, q: float) -> float:
@@ -195,24 +186,23 @@ def kde_fprime0(resid, b: float) -> float:
     return float(np.sum(k) / (n * b * b))
 
 
-def plug_in_bandwidth(prob: EstimationProblem, resid, *, _overwrite=False) -> BandwidthReport:
+def plug_in_bandwidth(prob: EstimationProblem, resid, *, _sigma=None,
+                      _overwrite=False) -> BandwidthReport:
     """Compute the three candidate bandwidths from the given residuals.
 
     Returns a report with ``h_requested`` set to the smallest finite
     candidate and ``h_max`` to the largest; ``h_used`` is NaN until a solve
     fills it in.  Taking the minimum biases mistakes toward undersmoothing,
-    which is the safe direction for the estimating equations.
+    which is the safe direction for the estimating equations.  ``_sigma``,
+    when given, is ``robust_sigma(resid)``, computed earlier by the caller.
 
-    The kernel estimates run on (resid - q_hat) / sigma_hat: centred at the
-    residuals' tau-quantile ``q_hat``, where Kaplan & Sun's rule reads the
-    density and its derivative, and in units of their robust scale, so no
-    intermediate overflows or underflows with the units of y.  With
-    ``_overwrite`` the float array ``resid`` is standardised in place.
+    The kernel sums and their ratio run on resid / sigma, so each candidate
+    is sigma times a unit-free bandwidth and nothing overflows or underflows
+    with the units of y.  ``_overwrite`` divides the float array in place.
     """
     n, d = prob.n, prob.p
-    sigma, q_hat = _scale_and_quantile(resid, prob.tau)
+    sigma = robust_sigma(resid) if _sigma is None else _sigma
     z = np.asarray(resid, dtype=float).ravel() if _overwrite else np.array(resid, dtype=float)
-    z -= q_hat
     z /= sigma
     q = ndtri(prob.tau)
 
@@ -243,7 +233,6 @@ def plug_in_bandwidth(prob: EstimationProblem, resid, *, _overwrite=False) -> Ba
         h_max=max(finite),
         candidates=cands,
         sigma_hat=sigma,
-        q_hat=q_hat,
         f0_hat=f0,
         fprime0_hat=fp0,
     )
@@ -255,19 +244,49 @@ def fit_with_plugin(
     beta_init=None,
     _shared=None,
 ) -> tuple[SeeSolution, BandwidthReport]:
-    """Estimate with the plug-in bandwidth: one plug-in pass from the linear
-    IV start's residuals, then one solve at its request.
+    """Estimate with the plug-in bandwidth read at the residuals of a pilot root.
 
-    ``beta_init`` only starts the solve, so it moves neither the bandwidth
-    nor the estimate beyond solver tolerance.  Manual bandwidths never
-    enter this function.  Returns the solve and the report with ``h_used``
-    filled in.  ``_shared`` is the fit's :class:`~ivqr.projection._TauFree`
-    record: the IV start is read from it when a fit on the same data has
-    filled it, and stored there otherwise.
+    The pilot (:func:`_pilot`) runs on the solver's subsample
+    (:func:`~ivqr.solver.subsample`) as a problem of its own, or on all rows
+    when there is none or it raises.  Then the plug-in from all rows'
+    residuals at the pilot root, which are specific to tau, and one solve at
+    its request, warm from that root.  ``beta_init`` only starts the pilot's
+    solve, so it moves neither bandwidth nor the estimate beyond solver
+    tolerance; manual bandwidths never enter here.  Returns the final solve,
+    its diagnostics covering the pilot's solve too (also in a
+    ``ConvergenceError`` the final solve raises), and the final report.
+    ``_shared`` is the fit's :class:`~ivqr.projection._TauFree` record, for
+    a pilot on all rows.
     """
-    shared = _TauFree() if _shared is None else _shared
+    pilot = _subsample_pilot(prob, zhat, beta_init)
+    if pilot is None:
+        pilot = _pilot(prob, zhat, beta_init, _TauFree() if _shared is None else _shared)
+    report = plug_in_bandwidth(prob, residuals(prob, pilot.beta), _overwrite=True)
+    try:
+        sol = solve_see(prob, zhat, report.h_requested, beta_init=pilot.beta)
+    except ConvergenceError as exc:
+        exc.diagnostics.absorb(pilot.diag)
+        raise
+    sol.diag.absorb(pilot.diag)
+    return sol, replace(report, h_used=sol.h_used)
+
+
+def _subsample_pilot(prob, zhat, beta_init):
+    """:func:`_pilot` on the solver's subsample, or None when there is none
+    or it raises.  The subsample is freed on return."""
+    try:
+        sub = subsample(prob, zhat)
+        return None if sub is None else _pilot(sub, sub.Z, beta_init, _TauFree())
+    except (ValueError, EstimationError):
+        return None
+
+
+def _pilot(prob, zhat, beta_init, shared) -> SeeSolution:
+    """The root at the plug-in request from the linear IV residuals.  The IV
+    start and their scale are read from ``shared``, or stored there."""
     if shared.iv_start is None:
         shared.iv_start = iv_estimate(prob, zhat)
-    report = plug_in_bandwidth(prob, residuals(prob, shared.iv_start), _overwrite=True)
-    sol = solve_see(prob, zhat, report.h_requested, beta_init=beta_init)
-    return sol, replace(report, h_used=sol.h_used)
+    rep = plug_in_bandwidth(prob, residuals(prob, shared.iv_start), _sigma=shared.iv_sigma,
+                            _overwrite=True)
+    shared.iv_sigma = rep.sigma_hat
+    return solve_see(prob, zhat, rep.h_requested, beta_init=beta_init)

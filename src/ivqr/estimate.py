@@ -24,14 +24,13 @@ def fit(
 ) -> FitResult:
     """Project instruments, solve the smoothed equations, and attach a VCE.
 
-    ``bandwidth=None`` selects the plug-in rule, one pass from the linear IV
-    residuals (:func:`~ivqr.bandwidth.fit_with_plugin`); a number requests
+    ``bandwidth=None`` selects the plug-in rule, read at the residuals of a
+    pilot root (:func:`~ivqr.bandwidth.fit_with_plugin`); a number requests
     that bandwidth directly (0 means the smallest feasible) and bypasses
-    selection for the solve.  ``reps=0`` uses the analytic sandwich of the
-    solved equations (:func:`~ivqr.inference.analytic_covariance`), its
-    Jacobian at max(h_used, plug-in request), so a manual bandwidth costs
-    one plug-in pass, at the solution's residuals; ``reps >= 2`` the
-    Bayesian bootstrap.  ``bandwidth``,
+    selection for the solve.  ``reps=0`` uses the analytic
+    sandwich of the solved equations (:func:`~ivqr.inference.analytic_covariance`),
+    its Jacobian at max(h_used, plug-in request), so a manual bandwidth costs
+    one plug-in pass; ``reps >= 2`` the Bayesian bootstrap.  ``bandwidth``,
     ``reps`` and ``seed`` are checked before any work.  ``reps_used`` of the
     result counts the bootstrap replications kept (0 on the analytic path).
     ``beta_init`` only starts the solver: it moves neither the bandwidth nor
@@ -66,8 +65,8 @@ def fit(
     if reps == 0:
         h_jac = h  # on the plug-in path, never below the request
         if bandwidth is not None:
-            rep = plug_in_bandwidth(prob, residuals(prob, beta), _overwrite=True)
-            h_jac = max(h_jac, rep.h_requested)
+            h_jac = max(h_jac, plug_in_bandwidth(prob, residuals(prob, beta),
+                                                 _overwrite=True).h_requested)
         cov_est = analytic_covariance(prob, zhat, beta, h, h_jac)
     else:
         cov_est = bayesian_bootstrap(prob, zhat, h, beta, reps=reps, seed=seed, progress=progress)

@@ -27,13 +27,14 @@ GRAM_RTOL = 1e-8
 class _TauFree:
     """The work a fit does that does not depend on the quantile level, for
     the levels of one dataset's grid to share (see
-    :func:`~ivqr.simulation.fit_levels`): the projected instruments and the
-    linear IV start.  Each field is None until a fit computes it; later fits
-    on the same y, X, Z and w read it.  One record serves one dataset's grid
-    and lives no longer."""
+    :func:`~ivqr.simulation.fit_levels`): the projected instruments, the
+    linear IV start and the robust scale of its residuals.  Each field is
+    None until a fit computes it; later fits on the same y, X, Z and w read
+    it.  One record serves one dataset's grid and lives no longer."""
 
     zhat: Optional[np.ndarray] = None
     iv_start: Optional[np.ndarray] = None
+    iv_sigma: Optional[float] = None
 
 
 def check_rank(A, label, w=None):

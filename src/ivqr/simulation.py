@@ -129,9 +129,9 @@ def fit_levels(
     failed.  ``bandwidth`` and ``level`` go to :func:`fit`.  Each level is
     fitted on ``base.at_quantile(tau)``, and the levels share the work that
     does not depend on tau: the first fit projects the instruments and, on
-    the plug-in path, computes the IV start.  The results equal, bit for
-    bit, those of ``fit`` on validated copies of ``base`` from the same
-    starts.
+    the plug-in path with its pilot on all rows, computes the IV start and
+    the robust scale of its residuals.  The results equal, bit for bit,
+    those of ``fit`` on validated copies of ``base`` from the same starts.
     """
     order = sorted(range(len(taus)), key=lambda i: abs(taus[i] - 0.5))
     shared = _TauFree()

@@ -72,6 +72,13 @@ class SolverDiagnostics:
     converged: bool = False
     homotopy_stages: int = 0
 
+    def absorb(self, other: SolverDiagnostics) -> None:
+        """Add ``other``'s iterations, homotopy stages and escalations to
+        these; the final residual and ``converged`` stay this record's own."""
+        self.iterations += other.iterations
+        self.homotopy_stages += other.homotopy_stages
+        self.bandwidth_escalations += other.bandwidth_escalations
+
 
 @dataclass(frozen=True)
 class SeeSolution:
@@ -286,9 +293,9 @@ def solve_see(
 
     When ``beta_init`` is given the solver first tries a direct Newton solve
     at the requested bandwidth from that point (the warm-start path used for
-    the levels of a tau grid and bootstrap replications); only if the direct
-    solve fails does it compute the IV start and fall back to the full
-    homotopy.
+    a plug-in fit's final solve, the levels of a tau grid and bootstrap
+    replications); only if the direct solve fails does it compute the IV
+    start and fall back to the full homotopy.
     ``beta_init`` may also be a :class:`_Workspace` built on a problem that
     ``prob`` reweights: the direct solve then starts from its beta and
     residuals (and its window, when built at the request) and writes into
@@ -371,17 +378,24 @@ def _homotopy(prob, zhat, target0, tol, zw, diag):
             return best, h
 
 
-def _subsample_root(prob, zhat, h, diag):
-    """The homotopy's root at ``h`` on every k-th row (see :func:`solve_see`),
-    or None when the descent stops above ``h``; its work is counted in ``diag``."""
+def subsample(prob: EstimationProblem, zhat: np.ndarray):
+    """``prob`` on every k-th row, k = n // SUBSAMPLE_MIN_ROWS + 1, with
+    ``zhat``'s rows as Z (its own zhat), or None below SUBSAMPLE_MIN_ROWS
+    rows; ValueError when they are no valid problem (e.g. all weights 0)."""
+    if prob.n < SUBSAMPLE_MIN_ROWS:
+        return None
     every = slice(None, None, prob.n // SUBSAMPLE_MIN_ROWS + 1)
+    # every regressor is marked endogenous, since zhat does not contain X
+    return EstimationProblem(y=prob.y[every], X=prob.X[every], Z=zhat[every],
+                             w=prob.w[every], tau=prob.tau, endog_idx=range(prob.p))
+
+
+def _subsample_root(prob, zhat, h, diag):
+    """The homotopy's root at ``h`` on the :func:`subsample` (see
+    :func:`solve_see`), or None when the descent stops above ``h``; its work
+    is counted in ``diag``."""
     try:
-        # zhat stands in for Z; every regressor is marked endogenous, since
-        # zhat does not contain X
-        sub = EstimationProblem(
-            y=prob.y[every], X=prob.X[every], Z=zhat[every], w=prob.w[every],
-            tau=prob.tau, endog_idx=range(prob.p),
-        )
+        sub = subsample(prob, zhat)
         sub_zw = instrument_means(sub, sub.Z)
         (_, beta, _), failed = _homotopy(sub, sub.Z, h, tol_residual(sub, sub.Z, sub_zw),
                                          sub_zw, diag)

@@ -1,5 +1,6 @@
 """Tests for residual scale, kernel sub-bandwidths, and plug-in selection."""
 
+import copy
 import warnings
 
 import numpy as np
@@ -9,7 +10,6 @@ from hypothesis.extra.numpy import arrays
 from scipy.stats import gaussian_kde, norm
 
 import ivqr.bandwidth as bandwidth_mod
-import ivqr.estimate as estimate_mod
 import ivqr.solver as solver_mod
 from ivqr.bandwidth import (
     b_star,
@@ -27,7 +27,7 @@ from ivqr.exceptions import ConvergenceError
 from ivqr.model import build_problem
 from ivqr.projection import iv_estimate, project_instruments
 from ivqr.simulation import generate, reference_dgp
-from ivqr.solver import solve_see
+from ivqr.solver import solve_see, subsample
 
 
 def make_problem(n=300, seed=14, tau=0.5):
@@ -344,7 +344,7 @@ def test_candidates_are_never_nan_at_any_level_or_scale(tau, log10_scale, shift,
     # each candidate is a product of finite positive factors: finite or +inf,
     # never NaN, for every tau in (0, 1) and residuals of any scale.  The
     # nonparametric one is 0 where f(0) underflows: where no residual lies
-    # within about 38 sub-bandwidths of the centre.
+    # within about 38 sub-bandwidths of zero.
     rng = np.random.default_rng(seed)
     n = _CANDIDATE_PROBLEM.n
     if shape == "normal":
@@ -380,87 +380,10 @@ def test_candidates_per_unit_of_scale_do_not_move_with_the_units_of_y():
             np.testing.assert_allclose(got, base, rtol=4e-14, atol=0, err_msg=f"k = {k}")
 
 
-def centre(resid, tau):
-    """The tau-quantile ``plug_in_bandwidth`` centres ``resid`` at."""
-    return plug_in_bandwidth(_CANDIDATE_PROBLEM.at_quantile(tau), resid).q_hat
-
-
-# magnitudes from 1e-6 up: a robust scale near the float minimum would send
-# the standardised residuals to inf, which is not what these tests are about
-magnitudes = st.one_of(st.just(0.0), st.floats(1e-6, 1e6), st.floats(-1e6, -1e-6))
-samples = st.integers(1, 300).flatmap(lambda n: st.one_of(
-    arrays(float, n, elements=magnitudes),
-    arrays(float, n, elements=st.sampled_from([-2.0, 0.0, 0.5, 3.0])),  # atoms and ties
-))
-
-
-def has_scale(x):
-    """Whether ``plug_in_bandwidth`` takes ``x``: a sample SD above 0."""
-    return x.size > 1 and np.std(x, ddof=1) > 0
-
-
-@settings(max_examples=500, deadline=None)
-@example(x=np.array([0.7]), m=1)
-@example(x=np.array([0.7, -1.0]), m=512)
-@example(x=np.array([0.7, -1.0, 0.7]), m=1023)
-@given(x=samples, m=st.integers(1, 1023))
-def test_centre_equals_np_quantile_on_the_weight_grid(x, m):
-    # at tau = m / 1024, tau (n - 1) is exact and its weight is on the grid
-    # of 1/1024: the centre is numpy's tau-quantile under ==, at n = 1 too
-    tau = m / 1024
-    want = np.quantile(x, tau)
-    assert quartiles(x, tau)[2] == want
-    if has_scale(x):
-        assert centre(x, tau) == want
-
-
-@settings(max_examples=500, deadline=None)
-@example(x=np.array([-1.0, 2.0, 2.0]), tau=0.1)
-@given(x=samples.filter(has_scale), tau=st.floats(1e-300, 1.0 - 1e-16))
-def test_centre_is_numpys_quantile_within_its_weight_grid(x, tau):
-    # at any other level the centre sits between numpy's two order
-    # statistics, within 1/2048 of their gap (and rounding) of numpy's
-    s = np.sort(x)
-    pos = tau * (x.size - 1)
-    a, b = s[int(pos)], s[min(int(pos) + 1, x.size - 1)]
-    got = centre(x, tau)
-    assert a <= got <= b
-    assert abs(got - np.quantile(x, tau)) <= (b - a) / 2048 + 4 * np.spacing(max(abs(a), abs(b)))
-
-
-@settings(max_examples=500, deadline=None)
-@example(x=np.random.default_rng(0).normal(size=1000), m=100)
-@given(x=samples.filter(has_scale), m=st.integers(1, 999))
-def test_centre_is_exact_under_reflection(x, m):
-    # (resid, tau) -> (-resid, 1 - tau) negates the centre bit for bit, though
-    # the doubles tau and 1 - tau are not exact complements (numpy's
-    # np.quantile(-x, 0.9) differs from -np.quantile(x, 0.1) in its last bits)
-    tau = m / 1000
-    assert centre(-x, 1.0 - tau) == -centre(x, tau)
-
-
-def test_scale_and_centre_come_from_one_sort(monkeypatch):
-    # the robust scale's quartiles and the centre are read from one sorted
-    # copy, and equal robust_sigma and numpy's quantile under ==
-    x = np.random.default_rng(9).standard_t(3, size=1001)
-    sorts, real_sort = [], np.sort
-
-    def counted(*args, **kwargs):
-        sorts.append(1)
-        return real_sort(*args, **kwargs)
-
-    monkeypatch.setattr(np, "sort", counted)
-    rep = plug_in_bandwidth(_CANDIDATE_PROBLEM.at_quantile(0.3), x)
-    assert len(sorts) == 1
-    monkeypatch.setattr(np, "sort", real_sort)
-    assert rep.sigma_hat == robust_sigma(x)
-    assert rep.q_hat == np.quantile(x, 0.3)  # 0.3 x 1000 has weight 0 on the grid
-
-
 # ------------------------------------------------------------ plug-in fit
 
 
-def test_fit_with_plugin_reports_its_solve():
+def test_fit_with_plugin_reports_refinement():
     prob = make_problem(tau=0.25)
     zhat = project_instruments(prob)
     sol, report = fit_with_plugin(prob, zhat)
@@ -488,53 +411,152 @@ def test_fit_with_plugin_deterministic():
     assert rep1 == rep2
 
 
-def test_plugin_fit_is_one_plug_in_pass_and_one_solve(monkeypatch):
-    # the plug-in reads the IV residuals once and one solve at its request
-    # follows, on the fit's own report
-    prob = make_problem(n=500, seed=24, tau=0.25)
-    calls = []
+def atoms_problem():
+    """Criterion 12's two-atom design, where both plug-in solves escalate."""
+    rng = np.random.default_rng(1)
+    z = rng.normal(size=60)
+    d = (z + 0.3 * rng.normal(size=60) > 0).astype(float)
+    y = 5.0 * rng.choice([-1.0, 1.0], size=60)
+    return build_problem(y, raw_endog=d, raw_instr=z, quantile=0.5)
 
-    def spy(module, name):
-        real = getattr(module, name)
 
-        def counted(*args, **kwargs):
-            out = real(*args, **kwargs)
-            calls.append((name, out))
-            return out
+def test_fit_with_plugin_diagnostics_cover_both_solves():
+    # replay both passes by hand: the fit's counts are the two solves' sums,
+    # and its final residual is the second solve's
+    for prob in (make_problem(n=2000, seed=23, tau=0.25), atoms_problem()):
+        zhat = project_instruments(prob)
+        sol, report = fit_with_plugin(prob, zhat)
+        h1 = plug_in_bandwidth(prob, prob.y - prob.X @ iv_estimate(prob, zhat)).h_requested
+        first = solve_see(prob, zhat, h1)
+        h2 = plug_in_bandwidth(prob, prob.y - prob.X @ first.beta).h_requested
+        second = solve_see(prob, zhat, h2, beta_init=first.beta)
+        assert report.h_requested == h2
+        assert np.array_equal(sol.beta, second.beta)
+        d, d1, d2 = sol.diag, first.diag, second.diag
+        assert d.converged
+        assert d.iterations == d1.iterations + d2.iterations
+        assert d.homotopy_stages == d1.homotopy_stages + d2.homotopy_stages
+        assert d.bandwidth_escalations == d1.bandwidth_escalations + d2.bandwidth_escalations
+        assert d.final_residual_inf_norm == d2.final_residual_inf_norm
+    assert d1.bandwidth_escalations > 0 and d2.bandwidth_escalations > 0
 
-        monkeypatch.setattr(module, name, counted)
 
-    for module in (bandwidth_mod, estimate_mod):
-        spy(module, "plug_in_bandwidth")
-        spy(module, "solve_see")
-    res = fit(prob)
-    (name1, rep), (name2, sol) = calls
-    assert (name1, name2) == ("plug_in_bandwidth", "solve_see")
-    assert res.bandwidth.h_requested == rep.h_requested
-    assert res.bandwidth.h_used == sol.h_used and res.solver is sol.diag
+def test_failed_refinement_error_counts_both_solves(monkeypatch):
+    # only the second solve fails; its error's counts are both solves' sums
+    prob = make_problem(n=500, seed=24)
+    zhat = project_instruments(prob)
+    solves = []
 
-    # a solve that raises is the fit's error, with that solve's counts only
-    calls.clear()
-    raised = []
-
-    def failing(*args, **kwargs):
+    def second_fails(*args, **kwargs):
+        if not solves:
+            sol = solve_see(*args, **kwargs)
+            solves.append(copy.copy(sol.diag))
+            return sol
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(solver_mod, "_damped_newton", lambda prob_, zhat_, beta0, *rest: (
                 np.asarray(beta0, dtype=float), 1, False, np.inf))
             try:
                 return solve_see(*args, **kwargs)
             except ConvergenceError as exc:
-                raised.append(exc)
+                solves.append(copy.copy(exc.diagnostics))
                 raise
 
-    monkeypatch.setattr(bandwidth_mod, "solve_see", failing)
+    monkeypatch.setattr(bandwidth_mod, "solve_see", second_fails)
     with pytest.raises(ConvergenceError) as exc:
-        fit(prob)
-    assert [name for name, _ in calls] == ["plug_in_bandwidth"]
-    assert raised == [exc.value]
+        fit_with_plugin(prob, zhat)
+    first, second = solves
+    assert first.converged and first.homotopy_stages > 0
     d = exc.value.diagnostics
     assert not d.converged and d.final_residual_inf_norm == np.inf
-    assert d.iterations == d.homotopy_stages > 0  # one iteration per failed stage of one solve
+    assert d.iterations == first.iterations + second.iterations
+    assert d.homotopy_stages == first.homotopy_stages + second.homotopy_stages
+    assert d.bandwidth_escalations == first.bandwidth_escalations + second.bandwidth_escalations
+
+
+def spy_rows(monkeypatch, module, names, calls):
+    """Record (name, rows) of every call to ``module``'s functions ``names``."""
+    for name in names:
+        real = getattr(module, name)
+
+        def counted(prob_, *args, _name=name, _real=real, **kwargs):
+            calls.append((_name, prob_.n))
+            return _real(prob_, *args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+
+def test_large_plugin_fit_takes_its_pilot_on_the_subsample(monkeypatch):
+    # at or above SUBSAMPLE_MIN_ROWS the pilot's plug-in and solve run on the
+    # solver's subsample; all rows see one plug-in pass, at the pilot root's
+    # residuals, and one solve, warm from that root.  Replayed by hand, the
+    # fit's counts are the two solves' sums
+    prob = make_problem(n=2000, seed=23, tau=0.25)
+    zhat = project_instruments(prob)
+    monkeypatch.setattr(solver_mod, "SUBSAMPLE_MIN_ROWS", 500)
+    sub = subsample(prob, zhat)
+    assert sub.n == len(range(0, prob.n, prob.n // 500 + 1))
+    calls = []
+    spy_rows(monkeypatch, bandwidth_mod, ("plug_in_bandwidth", "solve_see"), calls)
+    sol, report = fit_with_plugin(prob, zhat)
+    assert calls == [("plug_in_bandwidth", sub.n), ("solve_see", sub.n),
+                     ("plug_in_bandwidth", prob.n), ("solve_see", prob.n)]
+    monkeypatch.undo()
+    monkeypatch.setattr(solver_mod, "SUBSAMPLE_MIN_ROWS", 500)
+    h1 = plug_in_bandwidth(sub, sub.y - sub.X @ iv_estimate(sub, sub.Z)).h_requested
+    first = solve_see(sub, sub.Z, h1)
+    h2 = plug_in_bandwidth(prob, prob.y - prob.X @ first.beta).h_requested
+    second = solve_see(prob, zhat, h2, beta_init=first.beta)
+    assert report.h_requested == h2 and report.h_used == second.h_used
+    assert np.array_equal(sol.beta, second.beta)
+    d, d1, d2 = sol.diag, first.diag, second.diag
+    assert d.converged
+    assert d.iterations == d1.iterations + d2.iterations
+    assert d.homotopy_stages == d1.homotopy_stages + d2.homotopy_stages
+    assert d.bandwidth_escalations == d1.bandwidth_escalations + d2.bandwidth_escalations
+    assert d.final_residual_inf_norm == d2.final_residual_inf_norm
+
+
+@pytest.mark.parametrize("failure", ["solve", "no_subsample"])
+def test_failed_subsample_pilot_falls_back_to_all_rows(monkeypatch, failure):
+    # a subsample pilot that raises, or a subsample that is not a valid
+    # problem, leaves the pilot to all rows: the fit is then the one taken
+    # with no subsample pilot at all
+    prob = make_problem(n=2000, seed=23, tau=0.25)
+    zhat = project_instruments(prob)
+    monkeypatch.setattr(solver_mod, "SUBSAMPLE_MIN_ROWS", 500)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bandwidth_mod, "_subsample_pilot", lambda *args: None)
+        want, want_report = fit_with_plugin(prob, zhat)
+    sub_n = subsample(prob, zhat).n
+    if failure == "solve":
+        real = bandwidth_mod.solve_see
+
+        def sub_fails(prob_, *args, **kwargs):
+            if prob_.n == sub_n:
+                raise ConvergenceError("subsample pilot fails")
+            return real(prob_, *args, **kwargs)
+
+        monkeypatch.setattr(bandwidth_mod, "solve_see", sub_fails)
+    else:
+        monkeypatch.setattr(bandwidth_mod, "subsample", lambda *args: None)
+    sol, report = fit_with_plugin(prob, zhat)
+    assert np.array_equal(sol.beta, want.beta)
+    assert report == want_report
+    assert sol.diag == want.diag
+
+
+def test_subsample_pilot_moves_the_fit_by_a_sliver_of_its_standard_error(monkeypatch):
+    # at n = 60 000 the pilot on every other row against the pilot on all
+    # rows: on these cases the bandwidths differ by at most 0.092% and the
+    # estimates by at most 2.4e-4 SE
+    for seed, tau in ((0, 0.1), (1, 0.25), (2, 0.5), (3, 0.9)):
+        prob, _ = generate(reference_dgp(60_000, seed), tau)
+        got = fit(prob)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bandwidth_mod, "_subsample_pilot", lambda *args: None)
+            want = fit(prob)
+        assert got.bandwidth.h_used == pytest.approx(want.bandwidth.h_used, rel=0.005, abs=0)
+        assert np.max(np.abs(got.beta - want.beta) / want.se) < 0.002
 
 
 def count_iv_calls(monkeypatch):
@@ -551,9 +573,9 @@ def count_iv_calls(monkeypatch):
 
 
 def test_plugin_fit_computes_iv_start_at_most_twice(monkeypatch):
-    # the plug-in reads the IV residuals on all rows; a cold
-    # solve below SUBSAMPLE_MIN_ROWS starts its homotopy from a second one,
-    # and at or above it only the subsample's homotopy computes one
+    # the pilot's plug-in reads the IV residuals and its cold solve starts
+    # the homotopy from a second IV start: on all rows below
+    # SUBSAMPLE_MIN_ROWS, and at or above it on the subsample only
     prob = make_problem(n=2000, tau=0.25, seed=24)
     calls = count_iv_calls(monkeypatch)
     fit(prob)
@@ -561,12 +583,12 @@ def test_plugin_fit_computes_iv_start_at_most_twice(monkeypatch):
     calls.clear()
     monkeypatch.setattr(solver_mod, "SUBSAMPLE_MIN_ROWS", 500)
     fit(prob)
-    assert calls == [prob.n, len(range(0, prob.n, prob.n // 500 + 1))]
+    assert calls == [len(range(0, prob.n, prob.n // 500 + 1))] * 2
 
 
 def test_starting_values_only_start_the_solver(monkeypatch):
-    # the plug-in reads the IV residuals whatever the start, so a start
-    # moves neither bandwidth nor the estimate beyond solver tolerance
+    # the first plug-in pass reads the IV residuals whatever the start, so a
+    # start moves neither bandwidth nor the estimate beyond solver tolerance
     prob = make_problem(tau=0.25, seed=25)
     cold = fit(prob)
     calls = count_iv_calls(monkeypatch)

@@ -586,19 +586,17 @@ def count_calls(monkeypatch, module, name, counts):
 
 
 @pytest.mark.parametrize("bandwidth, want", [
-    # each level centres the IV residuals at its own tau-quantile, so each
-    # takes one scale-and-quantile sort of them
-    (None, {"project_instruments": 1, "iv_estimate": 1, "_scale_and_quantile": 3}),
+    (None, {"project_instruments": 1, "iv_estimate": 1, "robust_sigma": 1 + 3}),
     # a manual bandwidth shares only the projection; each level's Jacobian
     # bandwidth takes one plug-in pass at its own solution
-    (0.3, {"project_instruments": 1, "_scale_and_quantile": 3}),
+    (0.3, {"project_instruments": 1, "robust_sigma": 3}),
 ], ids=["plug-in", "manual"])
 def test_fit_levels_does_the_tau_free_work_once(monkeypatch, bandwidth, want):
     base = grid_design("overidentified")
     counts = {}
     count_calls(monkeypatch, estimate_mod, "project_instruments", counts)
     count_calls(monkeypatch, bandwidth_mod, "iv_estimate", counts)
-    count_calls(monkeypatch, bandwidth_mod, "_scale_and_quantile", counts)
+    count_calls(monkeypatch, bandwidth_mod, "robust_sigma", counts)
     fit_levels(base, (0.25, 0.5, 0.75), bandwidth=bandwidth)
     assert counts == want
 
